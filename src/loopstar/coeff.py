@@ -128,7 +128,7 @@ class SeriesCoeff:
         return SeriesCoeff(self.coeffs, order=order)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def eval_h(self, h: complex) -> complex:
         """Evaluate the truncated polynomial at a numeric h (Horner)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .coeff import SeriesCoeff, DEFAULT_ORDER
+from .coeff import CoeffError, SeriesCoeff, DEFAULT_ORDER
 
 
 class DiagramError(ValueError):
@@ -66,7 +66,7 @@ class Curve:
 WordEntry = tuple[Arc, int]
 
 
-def _entry_key(e: WordEntry):
+def entry_key(e: WordEntry):
     (curve, index), d = e
     # forward sorts before reversed so that forward-only loops canonicalize
     # identically under both conventions
@@ -82,9 +82,13 @@ class Loop:
     """Cyclic word of directed arcs; construct via canonical()."""
 
     word: tuple[WordEntry, ...]
+    # sort key of the word, filled on first use; not part of equality
+    _key: tuple | None = field(default=None, compare=False, repr=False)
 
     def key(self):
-        return tuple(_entry_key(e) for e in self.word)
+        if self._key is None:
+            object.__setattr__(self, "_key", tuple(entry_key(e) for e in self.word))
+        return self._key
 
     def __len__(self):
         return len(self.word)
@@ -98,19 +102,45 @@ def reverse_word(word: Iterable[WordEntry]) -> tuple[WordEntry, ...]:
     return tuple(_flip(e) for e in reversed(tuple(word)))
 
 
+def least_rotation(keys: list) -> int:
+    """Start of the lexicographically least rotation of keys: the least of
+    the rotations that begin at a smallest key, usually only one."""
+    lo = min(keys)
+    if keys.count(lo) == 1:
+        return keys.index(lo)
+    starts = [i for i, k in enumerate(keys) if k == lo]
+    return min(starts, key=lambda i: keys[i:] + keys[:i])
+
+
+def least_form(keys: list, rkeys: list | None = None) -> tuple[int, bool, list]:
+    """(start, reversed, rotated keys) of the least rotation of keys, or of
+    rkeys, the keys of the reversed word, when that one is smaller."""
+    r = least_rotation(keys)
+    best = keys[r:] + keys[:r]
+    if rkeys is not None:
+        s = least_rotation(rkeys)
+        rbest = rkeys[s:] + rkeys[:s]
+        if rbest < best:
+            return s, True, rbest
+    return r, False, best
+
+
 def canonical(word: Iterable[WordEntry], convention: str = "oriented") -> Loop:
     """Minimal rotation of the word; under the unoriented convention also
     minimal over full reversal."""
     w = tuple(word)
     if not w:
         raise DiagramError("empty loop word")
-    candidates = [w[i:] + w[:i] for i in range(len(w))]
     if convention == "unoriented":
         rw = reverse_word(w)
-        candidates += [rw[i:] + rw[:i] for i in range(len(rw))]
-    elif convention != "oriented":
+        rkeys = [entry_key(e) for e in rw]
+    elif convention == "oriented":
+        rw = rkeys = None
+    else:
         raise DiagramError(f"unknown convention {convention!r}")
-    return Loop(min(candidates, key=lambda c: tuple(_entry_key(e) for e in c)))
+    start, flipped, key = least_form([entry_key(e) for e in w], rkeys)
+    seq = rw if flipped else w
+    return Loop(seq[start:] + seq[:start], tuple(key))
 
 
 def reverse(loop: Loop) -> Loop:
@@ -184,6 +214,27 @@ class FormalSum:
             c = SeriesCoeff.constant(c, self.order)
         return FormalSum({m: c * v for m, v in self.terms.items()}, order=self.order)
 
+    def add_scaled(self, other: "FormalSum", c: SeriesCoeff) -> None:
+        """self += c * other, in place; no products when c is one, and a
+        plain copy into an empty sum."""
+        if c != SeriesCoeff.one(self.order):
+            for m, v in other.terms.items():
+                self.add_term(m, c * v)
+        elif not self.terms:
+            self.terms.update(other.terms)
+        else:
+            for m, v in other.terms.items():
+                self.add_term(m, v)
+
+    def truncated(self, order: int) -> "FormalSum":
+        """The sum with its coefficients cut to h^order; self when it is
+        already at that order."""
+        if order == self.order:
+            return self
+        if order > self.order:
+            raise CoeffError(f"cannot extend a sum of order {self.order} to order {order}")
+        return FormalSum({m: c.truncate(order) for m, c in self.terms.items()}, order=order)
+
     def mul_monomial(self, extra: Monomial) -> "FormalSum":
         return FormalSum(
             {monomial(m + extra): c for m, c in self.terms.items()}, order=self.order
@@ -235,6 +286,7 @@ class Diagram:
                 slot = len(self._point_passes.setdefault(pid, []))
                 self._point_passes[pid].append((c.id, pos))
                 self._pass_slot[(c.id, pos)] = (pid, slot)
+        self._valid = False
 
     def validate(self) -> list[str]:
         """Transversality audit: every point visited exactly twice, all pass
@@ -256,9 +308,13 @@ class Diagram:
         return errors
 
     def require_valid(self):
-        errs = self.validate()
-        if errs:
-            raise DiagramError("; ".join(errs))
+        """Raise DiagramError unless validate() is clean; checked once per
+        diagram, which is immutable."""
+        if not self._valid:
+            errs = self.validate()
+            if errs:
+                raise DiagramError("; ".join(errs))
+            self._valid = True
 
     # -- arcs ---------------------------------------------------------------
 
@@ -285,14 +341,6 @@ class Diagram:
         if k == 0:
             return None
         pos = (arc.index + 1) % k if d == 1 else arc.index
-        return self.pass_of(arc.curve, pos)
-
-    def entry_start(self, e: WordEntry) -> tuple[str, int] | None:
-        arc, d = e
-        k = len(self.curves[arc.curve].passes)
-        if k == 0:
-            return None
-        pos = arc.index if d == 1 else (arc.index + 1) % k
         return self.pass_of(arc.curve, pos)
 
     # -- loops --------------------------------------------------------------
@@ -364,11 +412,6 @@ class Diagram:
         rot_x = wx[gx + 1 :] + wx[: gx + 1]
         rot_y = wy[gy + 1 :] + wy[: gy + 1]
         return Loop(rot_x + rot_y)
-
-    def concat_reversed_at(self, x: Loop, y: Loop, point_id: str) -> Loop:
-        """Concatenation with the second loop traversed backwards:
-        evaluation contract tr(hol_{x,p} hol_{y,p}^{-1})."""
-        return self.concat_at(x, reverse(y), point_id)
 
 
 # -- text format -------------------------------------------------------------

@@ -16,7 +16,6 @@ from .diagram import (
     Diagram,
     FormalSum,
     Loop,
-    Monomial,
     canonical,
     monomial,
     reverse,
@@ -79,9 +78,12 @@ def bracket_poly(
     order: int | None = None,
 ) -> FormalSum:
     """Bilinear extension with the Leibniz rule over the loops of each
-    monomial.  Loop pairs sharing arcs are rejected as non-transversal."""
+    monomial.  Loop pairs sharing arcs are rejected as non-transversal.
+    The factors' coefficients are truncated to order."""
     if order is None:
         order = f.order
+    d.require_valid()
+    f, g = f.truncated(order), g.truncated(order)
     conv = group.convention
     out = FormalSum.zero(order)
     for m, cm in f.terms.items():
@@ -94,16 +96,6 @@ def bracket_poly(
                     if base.is_zero():
                         continue
                     extra = tuple(canonical(l.word, conv) for l in rest_m + rest_mp)
-                    out = out + base.mul_monomial(monomial(extra)).scale(cm * cmp_)
+                    out.add_scaled(base.mul_monomial(monomial(extra)), cm * cmp_)
     return out
 
-
-def bracket_monomials(
-    d: Diagram,
-    m: Monomial,
-    mp: Monomial,
-    group: GroupSpec,
-    form: str = "alt",
-    order: int = DEFAULT_ORDER,
-) -> FormalSum:
-    return bracket_poly(d, FormalSum.of(m, order), FormalSum.of(mp, order), group, form, order)

@@ -5,7 +5,7 @@ two strands sit at different levels are "active", everything else (self
 crossings, equal-level crossings) stays virtual.  Each active crossing is
 resolved into the untouched term plus the orientation-preserving smoothing,
 weighted by the group's crossing coefficients; the expectation is the sum
-over all 2^k resolution states.
+over the resolution states.
 
 The smoothing itself is a successor swap on the directed-arc cells of the
 stacked word collection: it merges two distinct loops into their
@@ -13,12 +13,25 @@ concatenation at the point, and splits a loop whose two strands already
 belong to the same evolving component into its two segments.  Subsets of
 such swaps commute, so the state only depends on which crossings were
 smoothed, never on the processing order.
+
+One depth-first walk visits the states for both the exact and the
+closed-form path: it swaps and un-swaps a single successor array, and the
+states come in the order of a binary count over the crossings, the first
+one processed most significant.  The exact series
+path cuts every branch with more than K smoothings.  That is exact, not an
+approximation: the smoothing coefficient has no h^0 term, so a state with
+s smoothings has a coefficient of h-order at least s, and one with s > K
+truncates to zero.  This h-filtration is what makes the Goldman bracket the
+classical limit of the product.  The closed-form numeric path visits every
+state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from .coeff import (
     DEFAULT_ORDER,
@@ -35,6 +48,8 @@ from .diagram import (
     Monomial,
     TransversalityError,
     canonical,
+    entry_key,
+    least_form,
     monomial,
 )
 from . import goldman
@@ -92,21 +107,76 @@ class Stacked:
                     ctype = "over" if eps_top_bottom > 0 else "under"
                     top, bottom = (c0, c1) if l0 > l1 else (c1, c0)
                     self.active.append(ActiveCrossing(pid, top, bottom, ctype))
+        # each cell's entry and its reversal, with their entry_key ranks
+        # among all of them: canonical forms compare ints, not key tuples
+        self.entries = [e for _, e in self.cells]
+        self.flipped = [(a, -dr) for a, dr in self.entries]
+        ranks = {k: r for r, k in enumerate(sorted({entry_key(e) for e in self.entries + self.flipped}))}
+        self.keys = [ranks[entry_key(e)] for e in self.entries]
+        self.flipped_keys = [ranks[entry_key(e)] for e in self.flipped]
 
-    def cycles(self, succ: list[int]) -> list[tuple]:
+    def cycles(self, succ: list[int]) -> list[list[int]]:
+        """The loops of a state as lists of cells, each from its first cell."""
         seen = [False] * len(self.cells)
-        words = []
+        out = []
         for start in range(len(self.cells)):
             if seen[start]:
                 continue
-            word = []
+            cycle = []
             c = start
             while not seen[c]:
                 seen[c] = True
-                word.append(self.cells[c][1])
+                cycle.append(c)
                 c = succ[c]
-            words.append(tuple(word))
-        return words
+            out.append(cycle)
+        return out
+
+    def canonical_monomial(self, cycles: list[list[int]], unoriented: bool) -> Monomial:
+        """monomial(canonical(word) for each cycle), from the cell ranks."""
+        keys, flipped_keys = self.keys, self.flipped_keys
+        loops = []
+        for cycle in cycles:
+            rev = cycle[::-1] if unoriented else None
+            start, flipped, key = least_form(
+                list(map(keys.__getitem__, cycle)),
+                list(map(flipped_keys.__getitem__, rev)) if unoriented else None,
+            )
+            seq, entries = (rev, self.flipped) if flipped else (cycle, self.entries)
+            loops.append((key, tuple(map(entries.__getitem__, seq[start:] + seq[:start]))))
+        loops.sort(key=itemgetter(0))
+        return tuple(Loop(word) for _, word in loops)
+
+
+def _states(
+    st: Stacked, idxs: Sequence[int], unoriented: bool, budget: int | None = None
+) -> Iterator[tuple[list[bool], Monomial]]:
+    """Depth-first over the resolution states, crossings taken in idxs
+    order, the unsmoothed branch first: a binary count with the first
+    crossing most significant.  A branch with more than budget smoothings is
+    cut.  Yields (smoothed, monomial) per state; smoothed is one shared list
+    of flags in idxs order, valid until the next state."""
+    succ = list(st.succ)
+    swaps = [(st.active[i].cell_top, st.active[i].cell_bottom) for i in idxs]
+    smoothed = [False] * len(swaps)
+    left = len(swaps) if budget is None else budget
+    while True:
+        yield smoothed, st.canonical_monomial(st.cycles(succ), unoriented)
+        # next state: un-smooth the trailing crossings, last swapped first,
+        # then smooth the last crossing before them that the budget allows
+        j = len(swaps) - 1
+        while j >= 0 and (smoothed[j] or not left):
+            if smoothed[j]:
+                a, b = swaps[j]
+                succ[a], succ[b] = succ[b], succ[a]
+                smoothed[j] = False
+                left += 1
+            j -= 1
+        if j < 0:
+            return
+        a, b = swaps[j]
+        succ[a], succ[b] = succ[b], succ[a]
+        smoothed[j] = True
+        left -= 1
 
 
 def _check_factors_disjoint(m: Monomial, mp: Monomial):
@@ -126,46 +196,41 @@ def expect_loops(
     """State sum over resolutions of the active crossings, exact series
     coefficients.  resolution_order permutes the processing sequence; the
     result cannot depend on it (states are subsets of commuting swaps)."""
+    d.require_valid()
     st = Stacked(d, leveled)
     idxs = list(resolution_order) if resolution_order is not None else list(range(len(st.active)))
     if sorted(idxs) != list(range(len(st.active))):
         raise StarError("resolution_order must permute the active crossings")
     pairs = {t: crossing_coeffs(group, t, order) for t in {a.ctype for a in st.active}}
-    counts = {"over": 0, "under": 0}
-    for a in st.active:
-        counts[a.ctype] += 1
+    one = SeriesCoeff.one(order)
+
+    def type_factors(t: str) -> list[SeriesCoeff]:
+        """smooth^s * virtual^(n - s) for s = 0..n, n crossings of type t."""
+        n = sum(a.ctype == t for a in st.active)
+        smooth, virtual = [one], [one]
+        for _ in range(n):
+            smooth.append(smooth[-1] * pairs[t].smooth)
+            virtual.append(virtual[-1] * pairs[t].virtual)
+        return [smooth[s] * virtual[n - s] for s in range(n + 1)]
+
     # a state's coefficient depends only on how many crossings of each type
     # were smoothed, so the series products are shared across states
+    over_factors, under_factors = type_factors("over"), type_factors("under")
     coeff_memo: dict[tuple[int, int], SeriesCoeff] = {}
 
     def state_coeff(i: int, j: int) -> SeriesCoeff:
         got = coeff_memo.get((i, j))
         if got is None:
-            got = SeriesCoeff.one(order)
-            for t, smoothed in (("over", i), ("under", j)):
-                if t in pairs:
-                    for _ in range(smoothed):
-                        got = got * pairs[t].smooth
-                    for _ in range(counts[t] - smoothed):
-                        got = got * pairs[t].virtual
-            coeff_memo[(i, j)] = got
+            got = coeff_memo[(i, j)] = over_factors[i] * under_factors[j]
         return got
 
-    states: list[tuple[int, int, list[int]]] = [(0, 0, list(st.succ))]
-    for i in idxs:
-        a = st.active[i]
-        d_over = 1 if a.ctype == "over" else 0
-        nxt = []
-        for no, nu, succ in states:
-            nxt.append((no, nu, succ))
-            s2 = list(succ)
-            s2[a.cell_top], s2[a.cell_bottom] = s2[a.cell_bottom], s2[a.cell_top]
-            nxt.append((no + d_over, nu + 1 - d_over, s2))
-        states = nxt
-    conv = group.convention
+    # cutting at K smoothings is exact while no smoothing has an h^0 term
+    budget = order if all(p.smooth[0] == 0 for p in pairs.values()) else None
+    over = [st.active[i].ctype == "over" for i in idxs]
     out = FormalSum.zero(order)
-    for no, nu, succ in states:
-        out.add_term(monomial(canonical(w, conv) for w in st.cycles(succ)), state_coeff(no, nu))
+    for smoothed, m in _states(st, idxs, group.convention == "unoriented", budget):
+        n_over = sum(compress(over, smoothed))
+        out.add_term(m, state_coeff(n_over, sum(smoothed) - n_over))
     return out
 
 
@@ -177,22 +242,15 @@ def expect_values(
 ) -> dict[Monomial, complex]:
     """Closed-form numeric state sum: exact hyperbolic coefficient values at
     the given coupling, symbolic monomials."""
+    d.require_valid()
     st = Stacked(d, leveled)
     vals = {t: closed_crossing_values(group, t, beta) for t in {a.ctype for a in st.active}}
-    states: list[tuple[complex, list[int]]] = [(1.0 + 0j, list(st.succ))]
-    for a in st.active:
-        cv, cs = vals[a.ctype]
-        nxt = []
-        for coeff, succ in states:
-            nxt.append((coeff * cv, succ))
-            s2 = list(succ)
-            s2[a.cell_top], s2[a.cell_bottom] = s2[a.cell_bottom], s2[a.cell_top]
-            nxt.append((coeff * cs, s2))
-        states = nxt
-    conv = group.convention
+    steps = [vals[a.ctype] for a in st.active]
     out: dict[Monomial, complex] = {}
-    for coeff, succ in states:
-        m = monomial(canonical(w, conv) for w in st.cycles(succ))
+    for smoothed, m in _states(st, range(len(steps)), group.convention == "unoriented"):
+        coeff = 1.0 + 0j
+        for (cv, cs), s in zip(steps, smoothed):
+            coeff = coeff * (cs if s else cv)
         out[m] = out.get(m, 0j) + coeff
     return out
 
@@ -213,15 +271,18 @@ def star(
     order: int | None = None,
 ) -> FormalSum:
     """Star product: left factor stacked above the right (+1 / -1), active
-    crossings resolved, bilinear over monomials."""
+    crossings resolved, bilinear over monomials.  The factors' coefficients
+    are truncated to order."""
     if order is None:
         order = f.order
+    d.require_valid()
+    f, g = f.truncated(order), g.truncated(order)
     out = FormalSum.zero(order)
     for m, cm in f.terms.items():
         for mp, cg in g.terms.items():
             _check_factors_disjoint(m, mp)
             leveled = [(l, 1) for l in m] + [(l, -1) for l in mp]
-            out = out + expect_loops(d, leveled, group, order).scale(cm * cg)
+            out.add_scaled(expect_loops(d, leveled, group, order), cm * cg)
     return out
 
 
@@ -311,6 +372,7 @@ def assoc_check(
 
     if order is None:
         order = u.order
+    u, v, w = (x.truncated(order) for x in (u, v, w))
 
     def trilevel(levels: tuple[int, int, int]) -> FormalSum:
         out = FormalSum.zero(order)
@@ -325,7 +387,7 @@ def assoc_check(
                         + [(l, levels[1]) for l in mv]
                         + [(l, levels[2]) for l in mw]
                     )
-                    out = out + expect_loops(d, leveled, group, order).scale(cu * cv * cw)
+                    out.add_scaled(expect_loops(d, leveled, group, order), cu * cv * cw)
         return out
 
     level_residual = trilevel((2, 0, -1)) - trilevel((1, 0, -2))

@@ -1,0 +1,131 @@
+"""Differential tests of the state enumerator and of canonical forms against
+brute-force references.  The enumerator's reference rebuilds every one of
+the 2^k states independently and canonicalizes its words with canonical(),
+which the last property checks against the minimum over all rotations."""
+
+import cmath
+from math import comb
+
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from loopstar.coeff import GroupSpec, SeriesCoeff, closed_crossing_values, crossing_coeffs
+from loopstar.diagram import Arc, canonical, entry_key, monomial, parse_diagram, reverse_word
+from loopstar.star import Stacked, expect_loops, expect_values
+from loopstar.checks import random_diagram
+
+GROUPS = (GroupSpec("su2"), GroupSpec("sl2r"), GroupSpec("sl2c"), GroupSpec("gln", 3), GroupSpec("un", 2))
+MAX_ACTIVE = 8
+
+
+def brute_force(st, convention, values, one):
+    """All 2^k states of st, each built on its own: a fresh successor
+    copy with the smoothed crossings swapped, its cycles walked into words
+    and canonicalized.  values maps a crossing type to (virtual, smooth);
+    the result maps each monomial to its summed coefficient."""
+    out = {}
+    k = len(st.active)
+    for mask in range(2**k):
+        succ = list(st.succ)
+        coeff = one
+        for i, a in enumerate(st.active):
+            virtual, smooth = values[a.ctype]
+            if mask >> i & 1:
+                succ[a.cell_top], succ[a.cell_bottom] = succ[a.cell_bottom], succ[a.cell_top]
+                coeff = coeff * smooth
+            else:
+                coeff = coeff * virtual
+        loops, seen = [], set()
+        for start in range(len(succ)):
+            word, c = [], start
+            while c not in seen:
+                seen.add(c)
+                word.append(st.cells[c][1])
+                c = succ[c]
+            if word:
+                loops.append(canonical(word, convention))
+        m = monomial(loops)
+        out[m] = out[m] + coeff if m in out else coeff
+    return out
+
+
+@st.composite
+def stacks(draw):
+    """A random_diagram with its curves at random levels and a random
+    processing order of its (at most MAX_ACTIVE) active crossings."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = random_diagram(rng, n_curves=draw(st.integers(2, 4)))
+    levels = draw(st.lists(st.integers(-1, 1), min_size=len(d.curves), max_size=len(d.curves)))
+    leveled = [(d.loop_of(c), level) for c, level in zip(d.curves, levels)]
+    k = len(Stacked(d, leveled).active)
+    assume(k <= MAX_ACTIVE)
+    return d, leveled, draw(st.permutations(range(k)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(stacks(), st.sampled_from(GROUPS), st.integers(0, 4))
+def test_series_enumerator_matches_brute_force(stack, group, order):
+    d, leveled, resolution_order = stack
+    st_ = Stacked(d, leveled)
+    tables = {t: crossing_coeffs(group, t, order) for t in ("over", "under")}
+    values = {t: (c.virtual, c.smooth) for t, c in tables.items()}
+    want = brute_force(st_, group.convention, values, SeriesCoeff.one(order))
+    got = expect_loops(d, leveled, group, order, resolution_order=resolution_order)
+    assert got.terms == {m: c for m, c in want.items() if not c.is_zero()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacks(), st.sampled_from(GROUPS), st.sampled_from([0.01, 0.3]))
+def test_closed_form_enumerator_matches_brute_force(stack, group, beta):
+    d, leveled, _ = stack
+    st_ = Stacked(d, leveled)
+    values = {t: closed_crossing_values(group, t, beta) for t in ("over", "under")}
+    want = brute_force(st_, group.convention, values, 1.0 + 0j)
+    got = expect_values(d, leveled, group, beta)
+    assert got.keys() == want.keys()
+    for m, v in want.items():
+        assert cmath.isclose(got[m], v, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_series_path_visits_only_states_within_order(monkeypatch):
+    k, order = 6, 2
+    points = "".join(f"point x{i} {'+-'[i % 2]}\n" for i in range(k))
+    passes = " ".join(f"x{i}" for i in range(k))
+    d = parse_diagram(points + f"curve C level 1: {passes}\ncurve D level 0: {passes}\n")
+    leveled = [(d.loop_of("C"), 1), (d.loop_of("D"), -1)]
+    visited = []
+    cycles = Stacked.cycles
+    monkeypatch.setattr(Stacked, "cycles", lambda self, succ: visited.append(1) or cycles(self, succ))
+    expect_loops(d, leveled, GroupSpec("su2"), order)
+    assert len(visited) == sum(comb(k, s) for s in range(order + 1))
+    visited.clear()
+    expect_values(d, leveled, GroupSpec("su2"), 0.1)
+    assert len(visited) == 2**k
+
+
+# -- canonical forms -----------------------------------------------------------------
+
+A, B = (Arc("C", 0), 1), (Arc("C", 1), 1)
+entries = st.tuples(st.sampled_from([Arc("C", 0), Arc("C", 1), Arc("D", 0)]), st.sampled_from([1, -1]))
+
+
+def least_by_brute_force(word, convention):
+    candidates = [word[i:] + word[:i] for i in range(len(word))]
+    if convention == "unoriented":
+        rw = reverse_word(word)
+        candidates += [rw[i:] + rw[:i] for i in range(len(rw))]
+    return min(candidates, key=lambda w: [entry_key(e) for e in w])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(entries, min_size=1, max_size=12), st.sampled_from(["oriented", "unoriented"]))
+@example([A, B, A, B], "oriented")
+@example([A, B, A, B], "unoriented")
+@example([A, A, A, A], "oriented")
+@example([A, A, A, A], "unoriented")
+@example([B, A, (A[0], -1), B, A, (A[0], -1)], "unoriented")
+def test_canonical_is_least_rotation(word, convention):
+    loop = canonical(word, convention)
+    assert loop.word == least_by_brute_force(tuple(word), convention)
+    assert loop.key() == tuple(entry_key(e) for e in loop.word)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from pathlib import Path
 
 from loopstar.coeff import (
+    CoeffError,
     GroupSpec,
     SeriesCoeff,
     crossing_coeffs,
@@ -12,6 +14,7 @@ from loopstar.coeff import (
     kauffman_coeffs,
 )
 from loopstar.diagram import (
+    DiagramError,
     FormalSum,
     TransversalityError,
     canonical,
@@ -183,6 +186,60 @@ def test_star_bilinearity():
     lhs = star(d, f.scale(Fraction(2, 3)), g, gl2)
     rhs = star(d, f, g, gl2).scale(Fraction(2, 3))
     assert lhs == rhs
+
+
+# -- order argument and diagram validation ----------------------------------------
+
+TWO = "point p +\npoint q -\ncurve C level 1: p q\ncurve D level 0: q p\n"
+# curve C passes through b, which is never declared
+UNDECLARED = "point a +\ncurve C level 1: a b\ncurve D level 0: a\n"
+
+
+def series_factor(d, group, name, order):
+    """A one-loop factor whose coefficient has every slot non-zero."""
+    (m,) = as_factor(d, group, name, order=order).terms
+    return FormalSum({m: SeriesCoeff(range(1, order + 2))}, order=order)
+
+
+@pytest.mark.parametrize("group", [GroupSpec("su2"), GroupSpec("gln", 3)])
+def test_order_argument_truncates_the_factors(group):
+    d = parse_diagram(TWO)
+    f, g = series_factor(d, group, "C", K), series_factor(d, group, "D", K)
+    f4, g4 = f.truncated(4), g.truncated(4)
+    assert star(d, f, g, group, order=4) == star(d, f4, g4, group) == star(d, f, g, group).truncated(4)
+    assert bracket_poly(d, f, g, group, order=4) == bracket_poly(d, f4, g4, group)
+
+
+def test_assoc_check_order_argument_truncates_the_factors():
+    d = parse_diagram((Path(__file__).resolve().parent.parent / "diagrams" / "assoc_triple.ls").read_text())
+    gl2 = GroupSpec("gln", 2)
+    u, v, w = (series_factor(d, gl2, c, K) for c in ("U", "V", "W"))
+    res = assoc_check(d, u, v, w, gl2, order=4)
+    assert res.level_residual.order == 4
+    assert res.level_residual.is_zero() and res.nested_residual.is_zero()
+
+
+def test_order_above_the_factor_order_is_an_error():
+    d = parse_diagram(TWO)
+    su2 = GroupSpec("su2")
+    with pytest.raises(CoeffError):
+        star(d, as_factor(d, su2, "C", order=4), as_factor(d, su2, "D", order=4), su2, order=8)
+
+
+def test_invalid_diagram_is_rejected_at_every_entry_point():
+    d = parse_diagram(UNDECLARED)
+    su2 = GroupSpec("su2")
+    x, y = d.loop_of("C"), d.loop_of("D")
+    f, g = as_factor(d, su2, "C"), as_factor(d, su2, "D")
+    calls = [
+        lambda: star_loops(d, x, y, su2, K),
+        lambda: star(d, f, g, su2),
+        lambda: expect_loops(d, [(x, 1), (y, -1)], su2, K),
+        lambda: bracket_poly(d, f, g, su2),
+    ]
+    for call in calls:
+        with pytest.raises(DiagramError, match="undeclared point b"):
+            call()
 
 
 # -- poisson limit ----------------------------------------------------------------
