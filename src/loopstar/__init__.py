@@ -10,7 +10,6 @@ from .coeff import (
     closed_crossing_values,
     crossing_coeffs,
     derived_generator,
-    eval_at,
     exp_generator,
     kauffman_coeffs,
     series_hyperbolic,

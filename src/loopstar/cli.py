@@ -32,6 +32,8 @@ from .diagram import (
     monomial,
     parse_diagram,
 )
+# bench/tracer.py traces the term encoder under this name
+from .diagram import formal_sum_terms as _formal_sum_payload
 from .goldman import bracket_poly
 from .holonomy import HolonomyError, eval_formal, random_assignment
 from .star import StarError, expect_diagram, star
@@ -94,39 +96,20 @@ def _render_formal_sum_text(fs: FormalSum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _formal_sum_payload(fs: FormalSum) -> list[dict]:
-    items = []
-    for m, c in fs:
-        items.append(
-            {
-                "coeff": [str(x) for x in c.coeffs],
-                "monomial": [[[a.id, "+" if dd == 1 else "-"] for a, dd in l.word] for l in m],
-            }
-        )
-    return items
-
-
-def _emit_formal_sum(fs: FormalSum, args, group: GroupSpec, meta: dict):
+def _emit_formal_sum(fs: FormalSum, args, group: GroupSpec, d, operation: str):
+    ev = None
     if args.eval_beta is not None:
-        d = meta.pop("_diagram", None)
-        rng = np.random.default_rng(args.seed)
-        assign = random_assignment(d, group, rng)
+        assign = random_assignment(d, group, np.random.default_rng(args.seed))
         value = eval_formal(fs, assign, args.eval_beta)
-        meta["eval"] = {
-            "beta": args.eval_beta,
-            "seed": args.seed,
-            "value": [value.real, value.imag],
-        }
-    else:
-        meta.pop("_diagram", None)
+        ev = {"beta": args.eval_beta, "seed": args.seed, "value": [value.real, value.imag]}
     if args.format == "json":
-        payload = {"group": str(group), "order": fs.order, "terms": _formal_sum_payload(fs)}
-        payload.update(meta)
+        payload = {"group": str(group), "order": fs.order, "terms": _formal_sum_payload(fs), "operation": operation}
+        if ev is not None:
+            payload["eval"] = ev
         print(json.dumps(payload, indent=2))
     else:
         sys.stdout.write(_render_formal_sum_text(fs))
-        if "eval" in meta:
-            ev = meta["eval"]
+        if ev is not None:
             print(f"value at beta={ev['beta']} (seed {ev['seed']}): {ev['value'][0]!r} + {ev['value'][1]!r}i")
 
 
@@ -134,34 +117,33 @@ def _cmd_coeffs(args) -> int:
     group = _group_from_args(args)
     order = args.order
     types = ["over", "under"] if args.type == "both" else [args.type]
+    rows = []
+    for t in types:
+        at = None if args.eval_beta is None else closed_crossing_values(group, t, args.eval_beta)
+        rows.append((t, crossing_coeffs(group, t, order), closed_form_strings(group, t), at))
     if args.format == "json":
-        payload = {"group": str(group), "K": order, "tables": {}}
-        for t in types:
-            cc = crossing_coeffs(group, t, order)
-            vf, sf = closed_form_strings(group, t)
-            entry = {
+        tables = {}
+        for t, cc, (vf, sf), at in rows:
+            tables[t] = {
                 "virtual": [str(c) for c in cc.virtual.coeffs],
                 "smooth": [str(c) for c in cc.smooth.coeffs],
                 "closed_form": {"virtual": vf, "smooth": sf},
             }
-            if args.eval_beta is not None:
-                v, s = closed_crossing_values(group, t, args.eval_beta)
-                entry["closed_form_at_beta"] = {
+            if at is not None:
+                v, s = at
+                tables[t]["closed_form_at_beta"] = {
                     "beta": args.eval_beta,
                     "virtual": [v.real, v.imag],
                     "smooth": [s.real, s.imag],
                 }
-            payload["tables"][t] = entry
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"group": str(group), "K": order, "tables": tables}, indent=2))
     else:
-        for t in types:
-            cc = crossing_coeffs(group, t, order)
-            vf, sf = closed_form_strings(group, t)
+        for t, cc, (vf, sf), at in rows:
             print(f"{group} {t}-crossing, order {order}")
             print(f"  virtual: {' '.join(str(c) for c in cc.virtual.coeffs)}   = {vf}")
             print(f"  smooth : {' '.join(str(c) for c in cc.smooth.coeffs)}   = {sf}")
-            if args.eval_beta is not None:
-                v, s = closed_crossing_values(group, t, args.eval_beta)
+            if at is not None:
+                v, s = at
                 print(f"  closed form at beta={args.eval_beta}: virtual={v.real!r}, smooth={s.real!r}")
     return 0
 
@@ -171,7 +153,7 @@ def _cmd_bracket(args) -> int:
     d = _load_diagram(args.file)
     f, g = _split_factors(d, group, args.order)
     out = bracket_poly(d, f, g, group, form=args.form)
-    _emit_formal_sum(out, args, group, {"operation": "bracket", "_diagram": d})
+    _emit_formal_sum(out, args, group, d, "bracket")
     return 0
 
 
@@ -180,7 +162,7 @@ def _cmd_star(args) -> int:
     d = _load_diagram(args.file)
     f, g = _split_factors(d, group, args.order)
     out = star(d, f, g, group, args.order)
-    _emit_formal_sum(out, args, group, {"operation": "star", "_diagram": d})
+    _emit_formal_sum(out, args, group, d, "star")
     return 0
 
 
@@ -188,7 +170,7 @@ def _cmd_expect(args) -> int:
     group = _group_from_args(args)
     d = _load_diagram(args.file)
     out = expect_diagram(d, group, args.order)
-    _emit_formal_sum(out, args, group, {"operation": "expect", "_diagram": d})
+    _emit_formal_sum(out, args, group, d, "expect")
     return 0
 
 

@@ -10,7 +10,6 @@ are plain exponentials of a rational multiple of h.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,11 +147,6 @@ class SeriesCoeff:
         return "SeriesCoeff(" + (" + ".join(terms) if terms else "0") + f"; K={self.order})"
 
 
-def eval_at(c: SeriesCoeff, beta: float) -> complex:
-    """Evaluate a series coefficient at the coupling beta (h = 2*beta)."""
-    return c.eval_h(2.0 * beta)
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """Group/convention selector: kind plus matrix size.
@@ -199,12 +193,6 @@ class CrossingCoeffs:
 
     virtual: SeriesCoeff
     smooth: SeriesCoeff
-    group: GroupSpec
-    ctype: str
-
-    def closed_at(self, beta: float) -> tuple[complex, complex]:
-        """Exact hyperbolic values of (virtual, smooth) at a numeric beta."""
-        return closed_crossing_values(self.group, self.ctype, beta)
 
 
 def series_hyperbolic(kind: str, delta, order: int) -> SeriesCoeff:
@@ -254,7 +242,7 @@ def crossing_coeffs(group: GroupSpec, ctype: str, order: int = DEFAULT_ORDER) ->
     if order < k:
         virtual = virtual.truncate(order)
         smooth = smooth.truncate(order)
-    return CrossingCoeffs(virtual=virtual, smooth=smooth, group=group, ctype=ctype)
+    return CrossingCoeffs(virtual, smooth)
 
 
 def closed_crossing_values(group: GroupSpec, ctype: str, beta: float) -> tuple[complex, complex]:
@@ -299,27 +287,20 @@ def closed_form_strings(group: GroupSpec, ctype: str) -> tuple[str, str]:
 
 def kauffman_coeffs(order: int = DEFAULT_ORDER) -> tuple[SeriesCoeff, SeriesCoeff]:
     """(a, b) of the unoriented two-smoothing resolution, rank-2 convention
-    after the per-loop sign normalization:
+    after the per-loop sign normalization: minus the virtual terms of the
+    su2 under- and over-crossing,
 
         a = -cosh(sqrt(3) beta) - (1/sqrt(3)) sinh(sqrt(3) beta)
         b = -cosh(sqrt(3) beta) + (1/sqrt(3)) sinh(sqrt(3) beta)
     """
-    k = max(order, 1)
-    cosh = series_hyperbolic("cosh_scaled", 3, k)
-    sor = series_hyperbolic("sinh_over_root", 3, k)
-    a = -cosh - sor
-    b = -cosh + sor
-    if order < k:
-        a, b = a.truncate(order), b.truncate(order)
-    return a, b
+    su2 = GroupSpec("su2")
+    return -crossing_coeffs(su2, "under", order).virtual, -crossing_coeffs(su2, "over", order).virtual
 
 
 def kauffman_values(beta: float) -> tuple[complex, complex]:
     """Closed-form (a, b) at a numeric beta."""
-    r = math.sqrt(3.0)
-    ch = math.cosh(beta * r)
-    sh = math.sinh(beta * r) / r
-    return complex(-ch - sh), complex(-ch + sh)
+    su2 = GroupSpec("su2")
+    return -closed_crossing_values(su2, "under", beta)[0], -closed_crossing_values(su2, "over", beta)[0]
 
 
 def derived_generator(group: GroupSpec, ctype: str = "over"):
@@ -344,16 +325,8 @@ def derived_generator(group: GroupSpec, ctype: str = "over"):
 def exp_generator(group: GroupSpec, ctype: str = "over", order: int = DEFAULT_ORDER) -> tuple[SeriesCoeff, SeriesCoeff]:
     """First column of the series exponential exp(beta*M) with beta = h/2:
     the (virtual, smooth) pair reconstructed from the generator alone."""
-    m = derived_generator(group, ctype)
-    f = [Fraction(0)] * (order + 1)
-    g = [Fraction(0)] * (order + 1)
-    vf, vg = Fraction(1), Fraction(0)  # M^k applied to (1, 0), scaled
-    for k in range(order + 1):
-        scale = Fraction(1, math.factorial(k) * 2**k)
-        f[k] = vf * scale
-        g[k] = vg * scale
-        vf, vg = m[0][0] * vf + m[0][1] * vg, m[1][0] * vf + m[1][1] * vg
-    return SeriesCoeff(f), SeriesCoeff(g)
+    m = exp_generator_matrix(group, ctype, order)
+    return m[0][0], m[1][0]
 
 
 def exp_generator_matrix(group: GroupSpec, ctype: str = "over", order: int = DEFAULT_ORDER):
@@ -372,15 +345,3 @@ def exp_generator_matrix(group: GroupSpec, ctype: str = "over", order: int = DEF
         )
     return tuple(tuple(SeriesCoeff(cols[i][j]) for j in range(2)) for i in range(2))
 
-
-def coeffs_to_json(group: GroupSpec, ctype: str, order: int = DEFAULT_ORDER) -> str:
-    """Coefficient table as JSON with rationals serialized as p/q strings."""
-    cc = crossing_coeffs(group, ctype, order)
-    payload = {
-        "group": str(group),
-        "type": ctype,
-        "K": order,
-        "virtual": [str(c) for c in cc.virtual.coeffs],
-        "smooth": [str(c) for c in cc.smooth.coeffs],
-    }
-    return json.dumps(payload, indent=2)

@@ -326,13 +326,6 @@ class Diagram:
     def all_arcs(self) -> list[Arc]:
         return [a for cid in self.curves for a in self.arcs_of(cid)]
 
-    def pass_of(self, curve_id: str, pos: int) -> tuple[str, int]:
-        """(point id, slot) of a curve's pass."""
-        return self._pass_slot[(curve_id, pos)]
-
-    def point_passes(self, point_id: str) -> list[tuple[str, int]]:
-        return self._point_passes.get(point_id, [])
-
     def entry_end(self, e: WordEntry) -> tuple[str, int] | None:
         """Pass (point, slot) at which a directed word entry terminates;
         None for the free arc of a pass-less curve."""
@@ -341,7 +334,7 @@ class Diagram:
         if k == 0:
             return None
         pos = (arc.index + 1) % k if d == 1 else arc.index
-        return self.pass_of(arc.curve, pos)
+        return self._pass_slot[(arc.curve, pos)]
 
     # -- loops --------------------------------------------------------------
 
@@ -358,16 +351,6 @@ class Diagram:
             if end is not None:
                 out.append((g, end[0], end[1], e[1]))
         return out
-
-    def gap_at(self, loop: Loop, point_id: str, slot: int) -> tuple[int, int]:
-        """(gap index, arriving direction) of the unique pass of the loop
-        arriving at the given point slot."""
-        hits = [(g, d) for g, p, s, d in self.loop_gaps(loop) if p == point_id and s == slot]
-        if len(hits) != 1:
-            raise DiagramError(
-                f"loop does not pass point {point_id} slot {slot} exactly once"
-            )
-        return hits[0]
 
     def crossings_between(self, x: Loop, y: Loop) -> list[tuple[str, int]]:
         """Crossing points with one pass in x and the other in y, with the
@@ -466,24 +449,37 @@ def render_diagram(d: Diagram) -> str:
 # -- JSON formal sums ---------------------------------------------------------
 
 
+def formal_sum_terms(fs: FormalSum) -> list[dict]:
+    """The terms of a formal sum in canonical order: p/q coefficient strings
+    and each loop as [arc id, "+"|"-"] pairs."""
+    return [
+        {
+            "coeff": [str(x) for x in c.coeffs],
+            "monomial": [[[a.id, "+" if d == 1 else "-"] for a, d in l.word] for l in m],
+        }
+        for m, c in fs
+    ]
+
+
 def formal_sum_to_json(fs: FormalSum) -> str:
-    items = []
-    for m, c in fs:
-        items.append(
-            {
-                "coeff": [str(x) for x in c.coeffs],
-                "monomial": [[[a.id, "+" if d == 1 else "-"] for a, d in l.word] for l in m],
-            }
-        )
-    return json.dumps({"order": fs.order, "terms": items}, indent=2)
+    return json.dumps({"order": fs.order, "terms": formal_sum_terms(fs)}, indent=2)
 
 
 def formal_sum_from_json(text: str) -> FormalSum:
+    """Inverse of formal_sum_to_json.  Loops are canonicalized (oriented
+    least rotation), so rotated words of one loop merge; an empty loop word,
+    or a coefficient list without exactly order + 1 entries, raises
+    DiagramError."""
     data = json.loads(text)
-    fs = FormalSum(order=data["order"])
-    for item in data["terms"]:
-        loops = []
-        for w in item["monomial"]:
-            loops.append(Loop(tuple((Arc.from_id(aid), 1 if d == "+" else -1) for aid, d in w)))
-        fs.add_term(monomial(loops), SeriesCoeff([Fraction(x) for x in item["coeff"]], order=data["order"]))
+    order = data["order"]
+    fs = FormalSum(order=order)
+    for t, item in enumerate(data["terms"]):
+        coeffs = item["coeff"]
+        if len(coeffs) != order + 1:
+            raise DiagramError(f"term {t}: {len(coeffs)} coefficients, expected order + 1 = {order + 1}")
+        loops = [
+            canonical((Arc.from_id(aid), 1 if d == "+" else -1) for aid, d in w)
+            for w in item["monomial"]
+        ]
+        fs.add_term(monomial(loops), SeriesCoeff([Fraction(x) for x in coeffs], order=order))
     return fs

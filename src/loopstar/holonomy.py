@@ -13,12 +13,10 @@ Holonomy words multiply left to right along the path, so the transport of
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .coeff import GroupSpec
 from .diagram import Arc, Diagram, FormalSum, Loop, Monomial
@@ -246,6 +244,8 @@ def lattice_derivative_check(
     of width ~step straddling t=0, so only half its mass lands inside the
     interval; the matrix derivative must match (1/2) e_a hol to first order.
     """
+    from scipy.linalg import expm  # the only scipy use; kept off the import path
+
     if n_segments < 2:
         raise HolonomyError("need at least 2 segments")
     if direction not in ("interior", "endpoint"):
@@ -286,21 +286,3 @@ def lattice_derivative_check(
         worst = max(worst, float(np.max(np.abs(fd - 0.5 * e @ hol))))
     return worst
 
-
-# -- JSON assignments -----------------------------------------------------------
-
-
-def assignment_to_json(assign: HolonomyAssignment) -> str:
-    arcs = {
-        aid: [[[z.real, z.imag] for z in row] for row in m]
-        for aid, m in sorted(assign.matrices.items())
-    }
-    return json.dumps({"group": str(assign.group), "arcs": arcs}, indent=2)
-
-
-def assignment_from_json(text: str, group: GroupSpec) -> HolonomyAssignment:
-    data = json.loads(text)
-    mats = {}
-    for aid, rows in data["arcs"].items():
-        mats[aid] = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return HolonomyAssignment(group, mats)

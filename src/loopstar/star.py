@@ -29,9 +29,10 @@ state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
-from typing import Iterator, Sequence
+from functools import reduce
+from itertools import combinations, compress, product
+from operator import itemgetter, mul
+from typing import Iterator, Mapping, Sequence
 
 from .coeff import (
     DEFAULT_ORDER,
@@ -72,7 +73,6 @@ class Stacked:
     loop collection."""
 
     def __init__(self, d: Diagram, leveled: Sequence[tuple[Loop, int]]):
-        self.diagram = d
         self.leveled = list(leveled)
         self.cells: list[tuple[int, tuple]] = []  # (instance, word entry)
         self.succ: list[int] = []
@@ -179,11 +179,17 @@ def _states(
         left -= 1
 
 
-def _check_factors_disjoint(m: Monomial, mp: Monomial):
-    arcs_f = {a for l in m for a, _ in l.word}
-    arcs_g = {a for l in mp for a, _ in l.word}
-    if arcs_f & arcs_g:
-        raise TransversalityError("star factors share arcs (not transversal)")
+def _stackings(factors: Sequence[Mapping[Monomial, object]], levels: Sequence[int]):
+    """One term from each factor, in itertools.product order: yields the
+    chosen monomials' loops, each at its factor's level, and the product of
+    the chosen coefficients taken left to right.  Raises
+    TransversalityError when any two chosen monomials share an arc."""
+    for terms in product(*(f.items() for f in factors)):
+        arcs = [{a for l in m for a, _ in l.word} for m, _ in terms]
+        if any(x & y for x, y in combinations(arcs, 2)):
+            raise TransversalityError("star factors share arcs (not transversal)")
+        leveled = [(l, level) for (m, _), level in zip(terms, levels) for l in m]
+        yield leveled, reduce(mul, (c for _, c in terms))
 
 
 def expect_loops(
@@ -258,7 +264,6 @@ def expect_values(
 def expect_diagram(d: Diagram, group: GroupSpec, order: int = DEFAULT_ORDER) -> FormalSum:
     """Expectation of the product of all curves, stacked at their declared
     levels."""
-    d.require_valid()
     leveled = [(d.loop_of(cid), d.curves[cid].level) for cid in d.curves]
     return expect_loops(d, leveled, group, order)
 
@@ -278,11 +283,8 @@ def star(
     d.require_valid()
     f, g = f.truncated(order), g.truncated(order)
     out = FormalSum.zero(order)
-    for m, cm in f.terms.items():
-        for mp, cg in g.terms.items():
-            _check_factors_disjoint(m, mp)
-            leveled = [(l, 1) for l in m] + [(l, -1) for l in mp]
-            out.add_scaled(expect_loops(d, leveled, group, order), cm * cg)
+    for leveled, c in _stackings((f.terms, g.terms), (1, -1)):
+        out.add_scaled(expect_loops(d, leveled, group, order), c)
     return out
 
 
@@ -296,12 +298,9 @@ def star_complex(
     """Numeric star product on monomial sums with complex coefficients,
     using the closed-form crossing values.  Supports nesting."""
     out: dict[Monomial, complex] = {}
-    for m, cm in f.items():
-        for mp, cg in g.items():
-            _check_factors_disjoint(m, mp)
-            leveled = [(l, 1) for l in m] + [(l, -1) for l in mp]
-            for mono, val in expect_values(d, leveled, group, beta).items():
-                out[mono] = out.get(mono, 0j) + cm * cg * val
+    for leveled, c in _stackings((f, g), (1, -1)):
+        for mono, val in expect_values(d, leveled, group, beta).items():
+            out[mono] = out.get(mono, 0j) + c * val
     return out
 
 
@@ -344,10 +343,6 @@ class AssocResult:
     nested_residual: FormalSum
     numeric: dict[float, float]
 
-    @property
-    def symbolic_zero(self) -> bool:
-        return self.level_residual.is_zero()
-
 
 def assoc_check(
     d: Diagram,
@@ -376,18 +371,8 @@ def assoc_check(
 
     def trilevel(levels: tuple[int, int, int]) -> FormalSum:
         out = FormalSum.zero(order)
-        for mu, cu in u.terms.items():
-            for mv, cv in v.terms.items():
-                for mw, cw in w.terms.items():
-                    _check_factors_disjoint(mu, mv)
-                    _check_factors_disjoint(mu, mw)
-                    _check_factors_disjoint(mv, mw)
-                    leveled = (
-                        [(l, levels[0]) for l in mu]
-                        + [(l, levels[1]) for l in mv]
-                        + [(l, levels[2]) for l in mw]
-                    )
-                    out.add_scaled(expect_loops(d, leveled, group, order), cu * cv * cw)
+        for leveled, c in _stackings((u.terms, v.terms, w.terms), levels):
+            out.add_scaled(expect_loops(d, leveled, group, order), c)
         return out
 
     level_residual = trilevel((2, 0, -1)) - trilevel((1, 0, -2))

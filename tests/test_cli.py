@@ -46,7 +46,9 @@ def test_bracket_disjoint_is_empty(capsys):
 def test_coeffs_table(capsys):
     code, out, _ = run(capsys, "coeffs", "--group", "su2", "--type", "over", "--order", "2")
     assert code == 0
-    table = json.loads(out)["tables"]["over"]
+    data = json.loads(out)
+    assert data["group"] == "su2" and data["K"] == 2
+    table = data["tables"]["over"]
     assert table["virtual"] == ["1", "-1/2", "3/8"]
     assert table["smooth"] == ["0", "1", "0"]
 

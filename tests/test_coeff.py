@@ -5,7 +5,6 @@ generator matrices are recovered by ODE matching with finite differences of
 the closed forms, never read back from the implementation.
 """
 
-import json
 import math
 from fractions import Fraction
 
@@ -21,10 +20,8 @@ from loopstar.coeff import (
     GroupSpec,
     SeriesCoeff,
     closed_crossing_values,
-    coeffs_to_json,
     crossing_coeffs,
     derived_generator,
-    eval_at,
     exp_generator,
     exp_generator_matrix,
     exp_series,
@@ -158,8 +155,8 @@ def test_eval_at_closed_and_series():
     cc = crossing_coeffs(su2, "over", K)
     for beta in (0.05, -0.05):
         vc, sc = closed_crossing_values(su2, "over", beta)
-        assert abs(eval_at(cc.virtual, beta) - vc) < 1e-10
-        assert abs(eval_at(cc.smooth, beta) - sc) < 1e-10
+        assert abs(cc.virtual.eval_h(2 * beta) - vc) < 1e-10
+        assert abs(cc.smooth.eval_h(2 * beta) - sc) < 1e-10
 
 
 def _ode_match(group, ctype):
@@ -260,18 +257,11 @@ def test_group_spec_invariants():
     assert not GroupSpec("un", 2).orientation_free
 
 
-def test_coeffs_json_export():
-    data = json.loads(coeffs_to_json(GroupSpec("su2"), "over", 2))
-    assert data["group"] == "su2" and data["type"] == "over" and data["K"] == 2
-    assert data["virtual"] == ["1", "-1/2", "3/8"]
-    assert data["smooth"] == ["0", "1", "0"]
-
-
 def test_series_misc():
     s = SeriesCoeff([1, 2, 3])
     assert s[1] == 2 and s[99] == 0
     assert s.truncate(1).coeffs == (1, 2)
-    assert eval_at(SeriesCoeff([0, 1], order=4), 0.5) == 1.0  # h = 2*beta
+    assert SeriesCoeff([0, 1], order=4).eval_h(2 * 0.5) == 1.0  # h = 2*beta
     with pytest.raises(CoeffError):
         SeriesCoeff([1, 2]) + SeriesCoeff([1, 2, 3])
     with pytest.raises(CoeffError):

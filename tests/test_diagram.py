@@ -1,5 +1,7 @@
 """Diagram model: validation, canonical forms, concatenation, text format."""
 
+import json
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -277,6 +279,29 @@ def test_formal_sum_json_round_trip():
     fs.add_term(monomial([d.loop_of("C"), d.loop_of("D")]), SeriesCoeff([0, 1, 0], order=2))
     back = formal_sum_from_json(formal_sum_to_json(fs))
     assert back == fs
+
+
+def test_formal_sum_from_json_merges_rotated_words():
+    d = parse_diagram("point p +\npoint q -\ncurve C level 1: p q\ncurve D level 0: q p\n")
+    terms = [
+        {"coeff": ["1", "0"], "monomial": [[["C.0", "+"], ["C.1", "+"]]]},
+        {"coeff": ["2", "1"], "monomial": [[["C.1", "+"], ["C.0", "+"]]]},
+    ]
+    fs = formal_sum_from_json(json.dumps({"order": 1, "terms": terms}))
+    assert fs == FormalSum({monomial([d.loop_of("C")]): SeriesCoeff([3, 1])}, order=1)
+
+
+@pytest.mark.parametrize("order,coeff", [(2, ["1", "0", "0", "5"]), (4, ["1"])])
+def test_formal_sum_from_json_rejects_a_wrong_coefficient_count(order, coeff):
+    text = json.dumps({"order": order, "terms": [{"coeff": coeff, "monomial": [[["C.0", "+"]]]}]})
+    with pytest.raises(DiagramError, match=rf"term 0: {len(coeff)} coefficients, expected order \+ 1 = {order + 1}"):
+        formal_sum_from_json(text)
+
+
+def test_formal_sum_from_json_rejects_an_empty_loop_word():
+    text = json.dumps({"order": 0, "terms": [{"coeff": ["1"], "monomial": [[]]}]})
+    with pytest.raises(DiagramError):
+        formal_sum_from_json(text)
 
 
 def test_arc_ids():

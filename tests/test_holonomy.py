@@ -9,10 +9,7 @@ from loopstar.diagram import FormalSum, monomial, parse_diagram
 from loopstar.holonomy import (
     HolonomyAssignment,
     HolonomyError,
-    assignment_from_json,
-    assignment_to_json,
     eval_formal,
-    eval_monomial,
     eval_wilson,
     gram_pairing,
     lattice_derivative_check,
@@ -170,14 +167,3 @@ def test_lattice_validation():
         lattice_derivative_check(GroupSpec("su2"), 1, "interior")
     with pytest.raises(HolonomyError):
         lattice_derivative_check(GroupSpec("su2"), 8, "sideways")
-
-
-def test_assignment_json_round_trip():
-    d = parse_diagram("point a +\ncurve C level 1: a\ncurve D level 0: a\n")
-    group = GroupSpec("un", 2)
-    A = random_assignment(d, group, np.random.default_rng(3))
-    back = assignment_from_json(assignment_to_json(A), group)
-    for aid, m in A.matrices.items():
-        assert np.max(np.abs(back.matrices[aid] - m)) < 1e-15
-    m = monomial([d.loop_of("C"), d.loop_of("D")])
-    assert abs(eval_monomial(m, back) - eval_monomial(m, A)) < 1e-14

@@ -41,6 +41,7 @@ from loopstar.star import (
     star_complex,
     star_loops,
     unoriented_kauffman_resolution,
+    _stackings,
 )
 from loopstar.checks import r2_pair_diagram, random_diagram, random_factors
 
@@ -176,6 +177,26 @@ def test_star_rejects_shared_arcs():
     f = as_factor(d, su2, "C")
     with pytest.raises(TransversalityError):
         star(d, f, f, su2)
+
+
+def test_star_complex_rejects_shared_arcs():
+    d = parse_diagram(ONE)
+    su2 = GroupSpec("su2")
+    (m,) = as_factor(d, su2, "C").terms
+    with pytest.raises(TransversalityError):
+        star_complex(d, {m: 1.0 + 0j}, {m: 1.0 + 0j}, su2, 0.1)
+
+
+def test_assoc_check_rejects_shared_arcs_of_the_outer_factors():
+    # v is disjoint from u and w; only the non-adjacent pair (u, w) overlaps
+    d = parse_diagram(ONE)
+    su2 = GroupSpec("su2")
+    u, v = as_factor(d, su2, "C"), as_factor(d, su2, "D")
+    with pytest.raises(TransversalityError):
+        assoc_check(d, u, v, u, su2)
+    # the three-level stacking rejects it on its own, before any nested product
+    with pytest.raises(TransversalityError):
+        list(_stackings((u.terms, v.terms, u.terms), (2, 0, -1)))
 
 
 def test_star_bilinearity():
