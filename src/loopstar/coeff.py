@@ -6,6 +6,11 @@ with rational coefficients once the coupling is written as beta = h/2: the
 hyperbolic functions cosh(beta*sqrt(D)) and sinh(beta*sqrt(D))/sqrt(D) only
 involve even powers of sqrt(D), and the framing exponentials exp(±beta*n/2)
 are plain exponentials of a rational multiple of h.
+
+A series is stored as integer numerators over one positive common
+denominator, in lowest terms.  Sums and products work on Python ints and
+reduce the result with a single gcd, so the arithmetic stays exact without
+a Fraction per slot; the Fraction view is built only when asked for.
 """
 
 from __future__ import annotations
@@ -38,10 +43,14 @@ def _as_fraction(x) -> Fraction:
 class SeriesCoeff:
     """Polynomial in h of degree <= order, with exact rational coefficients.
 
-    Arithmetic truncates at the order; all values are immutable.
+    The value is num[k] / den at h^k: a tuple of int numerators over one
+    positive int denominator with gcd(den, *num) == 1 (zero has den == 1),
+    so equal values have equal fields.  coeffs is the same value as a tuple
+    of Fractions.  Arithmetic truncates at the order; all values are
+    immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs, order: int | None = None):
         cs = [_as_fraction(c) for c in coeffs]
@@ -51,14 +60,34 @@ class SeriesCoeff:
             cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
         elif not cs:
             raise CoeffError("empty coefficient list without explicit order")
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # the lcm of reduced denominators is already coprime to the numerators
+        den = math.lcm(*(c.denominator for c in cs))
+        object.__setattr__(self, "num", tuple(c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _reduced(cls, num, den: int) -> "SeriesCoeff":
+        """The series num / den (den > 0), brought to lowest terms."""
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", tuple(num))
+        object.__setattr__(out, "den", den)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("SeriesCoeff is immutable")
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(a, den) for a in self.num)
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @classmethod
     def zero(cls, order: int = DEFAULT_ORDER) -> "SeriesCoeff":
@@ -73,35 +102,42 @@ class SeriesCoeff:
         return cls([Fraction(c)], order=order)
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.num):
+            return Fraction(self.num[k], self.den)
         return Fraction(0)
 
     def _coerce(self, other):
         if isinstance(other, SeriesCoeff):
-            if other.order != self.order:
+            if len(other.num) != len(self.num):
                 raise CoeffError("series order mismatch")
             return other
         if isinstance(other, (int, Fraction)):
             return SeriesCoeff([other], order=self.order)
         return None
 
+    def _plus(self, o: "SeriesCoeff", sign: int) -> "SeriesCoeff":
+        """self + sign * o over the least common denominator."""
+        da, db = self.den, o.den
+        g = math.gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        return SeriesCoeff._reduced([a * sa + b * sb for a, b in zip(self.num, o.num)], da * sa)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return SeriesCoeff([a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SeriesCoeff([-a for a in self.coeffs])
+        return SeriesCoeff._reduced([-a for a in self.num], self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return SeriesCoeff([a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -110,37 +146,45 @@ class SeriesCoeff:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(0, n + 1 - i):
-                b = o.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return SeriesCoeff(out)
+        bs = o.num
+        n = len(bs)
+        out = [0] * n
+        for i, a in enumerate(self.num):
+            if a:
+                for j in range(n - i):
+                    out[i + j] += a * bs[j]
+        return SeriesCoeff._reduced(out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def truncate(self, order: int) -> "SeriesCoeff":
-        return SeriesCoeff(self.coeffs, order=order)
+        if order < 0:
+            raise CoeffError("order must be >= 0")
+        num = self.num[: order + 1]
+        return SeriesCoeff._reduced(num + (0,) * (order + 1 - len(num)), self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
+
+    def is_one(self) -> bool:
+        num = self.num
+        return num[0] == self.den == 1 and not any(num[1:])
 
     def eval_h(self, h: complex) -> complex:
-        """Evaluate the truncated polynomial at a numeric h (Horner)."""
+        """Evaluate the truncated polynomial at a numeric h (Horner).  Each
+        slot is num / den, an int true division, which rounds correctly just
+        as float(Fraction) does."""
+        den = self.den
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * h + float(c)
+        for a in reversed(self.num):
+            acc = acc * h + a / den
         return acc
 
     def __eq__(self, other):
-        return isinstance(other, SeriesCoeff) and self.coeffs == other.coeffs
+        return isinstance(other, SeriesCoeff) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         terms = [f"{c}*h^{k}" for k, c in enumerate(self.coeffs) if c]

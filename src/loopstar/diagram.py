@@ -40,9 +40,12 @@ class Arc(NamedTuple):
     @classmethod
     def from_id(cls, s: str) -> "Arc":
         curve, _, idx = s.rpartition(".")
-        if not curve:
-            raise DiagramError(f"bad arc id {s!r}")
-        return cls(curve, int(idx))
+        if curve:
+            try:
+                return cls(curve, int(idx))
+            except ValueError:
+                pass
+        raise DiagramError(f"bad arc id {s!r}")
 
 
 @dataclass(frozen=True)
@@ -217,7 +220,7 @@ class FormalSum:
     def add_scaled(self, other: "FormalSum", c: SeriesCoeff) -> None:
         """self += c * other, in place; no products when c is one, and a
         plain copy into an empty sum."""
-        if c != SeriesCoeff.one(self.order):
+        if c.order != self.order or not c.is_one():
             for m, v in other.terms.items():
                 self.add_term(m, c * v)
         elif not self.terms:
@@ -465,11 +468,14 @@ def formal_sum_to_json(fs: FormalSum) -> str:
     return json.dumps({"order": fs.order, "terms": formal_sum_terms(fs)}, indent=2)
 
 
+_DIRECTIONS = {"+": 1, "-": -1}
+
+
 def formal_sum_from_json(text: str) -> FormalSum:
     """Inverse of formal_sum_to_json.  Loops are canonicalized (oriented
     least rotation), so rotated words of one loop merge; an empty loop word,
-    or a coefficient list without exactly order + 1 entries, raises
-    DiagramError."""
+    a direction flag other than "+"/"-", a bad arc id, or a coefficient list
+    without exactly order + 1 entries raises DiagramError."""
     data = json.loads(text)
     order = data["order"]
     fs = FormalSum(order=order)
@@ -477,9 +483,14 @@ def formal_sum_from_json(text: str) -> FormalSum:
         coeffs = item["coeff"]
         if len(coeffs) != order + 1:
             raise DiagramError(f"term {t}: {len(coeffs)} coefficients, expected order + 1 = {order + 1}")
-        loops = [
-            canonical((Arc.from_id(aid), 1 if d == "+" else -1) for aid, d in w)
-            for w in item["monomial"]
-        ]
+        loops = []
+        for w in item["monomial"]:
+            word = []
+            for aid, flag in w:
+                direction = _DIRECTIONS.get(flag) if isinstance(flag, str) else None
+                if direction is None:
+                    raise DiagramError(f"term {t}: direction flag {flag!r}, expected '+' or '-'")
+                word.append((Arc.from_id(aid), direction))
+            loops.append(canonical(word))
         fs.add_term(monomial(loops), SeriesCoeff([Fraction(x) for x in coeffs], order=order))
     return fs

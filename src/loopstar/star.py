@@ -29,7 +29,7 @@ state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, compress, product
 from operator import itemgetter, mul
 from typing import Iterator, Mapping, Sequence
@@ -192,6 +192,39 @@ def _stackings(factors: Sequence[Mapping[Monomial, object]], levels: Sequence[in
         yield leveled, reduce(mul, (c for _, c in terms))
 
 
+@lru_cache(maxsize=256)
+def _state_table(
+    group: GroupSpec, order: int, n_over: int, n_under: int
+) -> tuple[tuple[tuple[SeriesCoeff, ...], ...], bool]:
+    """State coefficients for n_over over- and n_under under-crossings, and
+    whether cutting at order smoothings is exact.
+
+    A state's coefficient depends only on how many crossings of each type
+    were smoothed: table[i][j] is smooth^i * virtual^(n_over - i) of the
+    over-crossing times the same of the under-crossing with j and n_under.
+    When the cut is exact, only i + j <= order is ever asked for, and the
+    rows stop there.  Cached per process; the tuples keep shared entries
+    immutable."""
+    pairs = {t: crossing_coeffs(group, t, order) for t, n in (("over", n_over), ("under", n_under)) if n}
+    exact_cut = all(p.smooth[0] == 0 for p in pairs.values())
+    budget = order if exact_cut else n_over + n_under
+    one = SeriesCoeff.one(order)
+
+    def type_factors(t: str, n: int) -> list[SeriesCoeff]:
+        """smooth^s * virtual^(n - s) for s = 0..min(n, budget)."""
+        top = min(n, budget)
+        smooth, virtual = [one], [one]
+        for _ in range(top):
+            smooth.append(smooth[-1] * pairs[t].smooth)
+        for _ in range(n):
+            virtual.append(virtual[-1] * pairs[t].virtual)
+        return [smooth[s] * virtual[n - s] for s in range(top + 1)]
+
+    over, under = type_factors("over", n_over), type_factors("under", n_under)
+    table = tuple(tuple(a * b for b in under[: budget - i + 1]) for i, a in enumerate(over))
+    return table, exact_cut
+
+
 def expect_loops(
     d: Diagram,
     leveled: Sequence[tuple[Loop, int]],
@@ -207,36 +240,14 @@ def expect_loops(
     idxs = list(resolution_order) if resolution_order is not None else list(range(len(st.active)))
     if sorted(idxs) != list(range(len(st.active))):
         raise StarError("resolution_order must permute the active crossings")
-    pairs = {t: crossing_coeffs(group, t, order) for t in {a.ctype for a in st.active}}
-    one = SeriesCoeff.one(order)
-
-    def type_factors(t: str) -> list[SeriesCoeff]:
-        """smooth^s * virtual^(n - s) for s = 0..n, n crossings of type t."""
-        n = sum(a.ctype == t for a in st.active)
-        smooth, virtual = [one], [one]
-        for _ in range(n):
-            smooth.append(smooth[-1] * pairs[t].smooth)
-            virtual.append(virtual[-1] * pairs[t].virtual)
-        return [smooth[s] * virtual[n - s] for s in range(n + 1)]
-
-    # a state's coefficient depends only on how many crossings of each type
-    # were smoothed, so the series products are shared across states
-    over_factors, under_factors = type_factors("over"), type_factors("under")
-    coeff_memo: dict[tuple[int, int], SeriesCoeff] = {}
-
-    def state_coeff(i: int, j: int) -> SeriesCoeff:
-        got = coeff_memo.get((i, j))
-        if got is None:
-            got = coeff_memo[(i, j)] = over_factors[i] * under_factors[j]
-        return got
-
-    # cutting at K smoothings is exact while no smoothing has an h^0 term
-    budget = order if all(p.smooth[0] == 0 for p in pairs.values()) else None
     over = [st.active[i].ctype == "over" for i in idxs]
+    table, exact_cut = _state_table(group, order, sum(over), len(over) - sum(over))
+    # cutting at K smoothings is exact while no smoothing has an h^0 term
+    budget = order if exact_cut else None
     out = FormalSum.zero(order)
     for smoothed, m in _states(st, idxs, group.convention == "unoriented", budget):
         n_over = sum(compress(over, smoothed))
-        out.add_term(m, state_coeff(n_over, sum(smoothed) - n_over))
+        out.add_term(m, table[n_over][sum(smoothed) - n_over])
     return out
 
 

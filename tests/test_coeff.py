@@ -50,6 +50,120 @@ def test_ring_axioms(a, b, c):
     assert (-a) + a == SeriesCoeff.zero(K)
 
 
+# -- the integer-numerator kernel against naive Fraction lists ---------------------
+
+# small rationals exercise cancellation; huge ones exercise int rounding in eval_h
+wide_rationals = st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+def coeff_lists(n):
+    return st.lists(wide_rationals, min_size=n + 1, max_size=n + 1)
+
+
+same_order_pairs = st.integers(0, 6).flatmap(lambda n: st.tuples(coeff_lists(n), coeff_lists(n)))
+
+
+def naive_mul(a, b):
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: len(a) - i]):
+            out[i + j] += x * y
+    return out
+
+
+def naive_horner(coeffs, h):
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * h + float(c)
+    return acc
+
+
+def assert_normalized(s, want):
+    assert s.coeffs == tuple(want) and all(type(c) is Fraction for c in s.coeffs)
+    assert s.den > 0 and math.gcd(s.den, *s.num) == 1
+    assert all(type(a) is int for a in s.num) and type(s.den) is int
+    if not any(want):
+        assert s.den == 1
+    fresh = SeriesCoeff(want)
+    assert s == fresh and hash(s) == hash(fresh)
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_order_pairs)
+def test_kernel_matches_naive_fraction_arithmetic(pair):
+    a, b = pair
+    x, y = SeriesCoeff(a), SeriesCoeff(b)
+    assert_normalized(x, a)
+    assert_normalized(x + y, [p + q for p, q in zip(a, b)])
+    assert_normalized(x - y, [p - q for p, q in zip(a, b)])
+    assert_normalized(-x, [-p for p in a])
+    assert_normalized(x * y, naive_mul(a, b))
+    assert_normalized(x - x, [0] * len(a))
+    for k in range(-1, len(a) + 2):
+        assert x[k] == (a[k] if 0 <= k < len(a) else 0)
+    for order in range(len(a) + 2):
+        assert_normalized(x.truncate(order), (a + [Fraction(0)] * order)[: order + 1])
+    assert (x == y) == (a == b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(coeff_lists), st.one_of(st.integers(-50, 50), wide_rationals))
+def test_kernel_coerces_ints_and_fractions(a, c):
+    x = SeriesCoeff(a)
+    const = [Fraction(c)] + [Fraction(0)] * (len(a) - 1)
+    for got, want in (
+        (x + c, [p + q for p, q in zip(a, const)]),
+        (c + x, [p + q for p, q in zip(a, const)]),
+        (x - c, [p - q for p, q in zip(a, const)]),
+        (c - x, [q - p for p, q in zip(a, const)]),
+        (x * c, naive_mul(a, const)),
+        (c * x, naive_mul(a, const)),
+    ):
+        assert_normalized(got, want)
+    assert x.is_one() == (a == [1] + [0] * (len(a) - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(coeff_lists),
+    st.one_of(
+        st.floats(-4, 4, allow_nan=False),
+        st.builds(complex, st.floats(-4, 4, allow_nan=False), st.floats(-4, 4, allow_nan=False)),
+    ),
+)
+def test_eval_h_is_the_fraction_horner_loop_bit_for_bit(a, h):
+    got = SeriesCoeff(a).eval_h(h)
+    want = naive_horner(a, h)
+    assert (got.real, got.imag) == (want.real, want.imag)
+
+
+@settings(max_examples=30, deadline=None)
+@given(same_order_pairs, st.integers(1, 3))
+def test_kernel_rejects_mismatched_orders(pair, extra):
+    a, b = pair
+    x, y = SeriesCoeff(a), SeriesCoeff(b + [Fraction(0)] * extra)
+    for op in (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q):
+        with pytest.raises(CoeffError, match="order mismatch"):
+            op(x, y)
+        with pytest.raises(CoeffError, match="order mismatch"):
+            op(y, x)
+
+
+def test_kernel_stored_form_examples():
+    s = SeriesCoeff([Fraction(1, 2), Fraction(1, 3), 0])
+    assert (s.num, s.den) == ((3, 2, 0), 6)
+    half = SeriesCoeff([Fraction(1, 2), Fraction(1, 2)])
+    assert ((half + half).num, (half + half).den) == ((1, 1), 1)
+    assert (SeriesCoeff.zero(3).num, SeriesCoeff.zero(3).den) == ((0, 0, 0, 0), 1)
+    with pytest.raises(AttributeError):
+        s.den = 1
+    assert SeriesCoeff.one(3).is_one() and SeriesCoeff([1]).is_one()
+    assert not any(c.is_one() for c in (SeriesCoeff([1, 1]), SeriesCoeff([1, 0, Fraction(1, 3)]), SeriesCoeff([2])))
+
+
 def sympy_series(expr, h, order):
     """Taylor coefficients of a sympy expression as exact Fractions."""
     poly = sp.series(expr, h, 0, order + 1).removeO()

@@ -304,6 +304,22 @@ def test_formal_sum_from_json_rejects_an_empty_loop_word():
         formal_sum_from_json(text)
 
 
+@pytest.mark.parametrize("flag", ["*", "", "+1", None, 1])
+def test_formal_sum_from_json_rejects_an_unknown_direction_flag(flag):
+    text = json.dumps({"order": 0, "terms": [{"coeff": ["1"], "monomial": [[["C.0", flag]]]}]})
+    with pytest.raises(DiagramError, match=r"term 0: direction flag"):
+        formal_sum_from_json(text)
+
+
+@pytest.mark.parametrize("aid", ["C.x", "C.", "nodot", ".0"])
+def test_bad_arc_id_raises_diagram_error(aid):
+    with pytest.raises(DiagramError, match="bad arc id"):
+        Arc.from_id(aid)
+    text = json.dumps({"order": 0, "terms": [{"coeff": ["1"], "monomial": [[[aid, "+"]]]}]})
+    with pytest.raises(DiagramError, match="bad arc id"):
+        formal_sum_from_json(text)
+
+
 def test_arc_ids():
     a = Arc("C1", 0)
     assert a.id == "C1.0"

@@ -4,6 +4,8 @@ the 2^k states independently and canonicalizes its words with canonical(),
 which the last property checks against the minimum over all rotations."""
 
 import cmath
+import random
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from loopstar.coeff import GroupSpec, SeriesCoeff, closed_crossing_values, crossing_coeffs
 from loopstar.diagram import Arc, canonical, entry_key, monomial, parse_diagram, reverse_word
-from loopstar.star import Stacked, expect_loops, expect_values
+from loopstar.star import Stacked, _state_table, expect_loops, expect_values
 from loopstar.checks import random_diagram
 
 GROUPS = (GroupSpec("su2"), GroupSpec("sl2r"), GroupSpec("sl2c"), GroupSpec("gln", 3), GroupSpec("un", 2))
@@ -86,6 +88,37 @@ def test_closed_form_enumerator_matches_brute_force(stack, group, beta):
     assert got.keys() == want.keys()
     for m, v in want.items():
         assert cmath.isclose(got[m], v, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def two_curves(signs: str):
+    """C above D, crossing once per sign: every crossing active, its type
+    fixed by its sign."""
+    points = "".join(f"point x{i} {s}\n" for i, s in enumerate(signs))
+    passes = " ".join(f"x{i}" for i in range(len(signs)))
+    d = parse_diagram(points + f"curve C level 1: {passes}\ncurve D level 0: {passes}\n")
+    return d, [(d.loop_of("C"), 1), (d.loop_of("D"), -1)]
+
+
+def test_state_tables_cached_per_group_order_and_counts():
+    """Interleaved calls share one process-wide table cache; each must see
+    the table of its own (group, order, over count, under count)."""
+    _state_table.cache_clear()
+    stacks = [two_curves(signs) for signs in ("+", "-", "++", "+-", "-+", "--", "++-", "-++", "+--", "+-+-")]
+    calls = list(product(GROUPS, range(5), range(len(stacks))))
+    random.Random(0).shuffle(calls)
+    for group, order, i in calls:
+        d, leveled = stacks[i]
+        fresh = {t: crossing_coeffs(group, t, order) for t in ("over", "under")}
+        values = {t: (c.virtual, c.smooth) for t, c in fresh.items()}
+        want = brute_force(Stacked(d, leveled), group.convention, values, SeriesCoeff.one(order))
+        got = expect_loops(d, leveled, group, order)
+        assert got.terms == {m: c for m, c in want.items() if not c.is_zero()}, (group, order, i)
+    assert _state_table.cache_info().hits > 0
+    table, exact_cut = _state_table(GroupSpec("su2"), 2, 3, 1)
+    assert exact_cut
+    assert type(table) is tuple and all(type(row) is tuple for row in table)
+    # rows stop at i + j <= order: states beyond it are never visited
+    assert [len(row) for row in table] == [2, 2, 1]
 
 
 def test_series_path_visits_only_states_within_order(monkeypatch):
