@@ -242,8 +242,8 @@ class CrossingCoeffs:
 def series_hyperbolic(kind: str, delta, order: int) -> SeriesCoeff:
     """Truncated series of cosh(beta*sqrt(delta)) or sinh(beta*sqrt(delta))/sqrt(delta)
     in h, with beta = h/2."""
-    if order < 1:
-        raise CoeffError("order must be >= 1")
+    if order < 0:
+        raise CoeffError("order must be >= 0")
     d = Fraction(delta)
     if d <= 0:
         raise CoeffError("delta must be positive")
@@ -271,21 +271,17 @@ def crossing_coeffs(group: GroupSpec, ctype: str, order: int = DEFAULT_ORDER) ->
     """Resolution coefficients of a single over- or under-crossing."""
     if ctype not in ("over", "under"):
         raise CoeffError(f"crossing type must be 'over' or 'under', got {ctype!r}")
-    k = max(order, 1)
-    cosh = series_hyperbolic("cosh_scaled", group.delta, k)
-    sor = series_hyperbolic("sinh_over_root", group.delta, k)
+    cosh = series_hyperbolic("cosh_scaled", group.delta, order)
+    sor = series_hyperbolic("sinh_over_root", group.delta, order)
     sgn = 1 if ctype == "over" else -1
     if group.kind in SL2_FAMILY:
         virtual = cosh - sgn * sor
         smooth = sgn * 2 * sor
     else:
         # beta*n/2 = (n/4)*h
-        framing = exp_series(sgn * Fraction(group.n, 4), k)
+        framing = exp_series(sgn * Fraction(group.n, 4), order)
         virtual = framing * (cosh - sgn * Fraction(group.n, 2) * sor)
         smooth = framing * (sgn * 2 * sor)
-    if order < k:
-        virtual = virtual.truncate(order)
-        smooth = smooth.truncate(order)
     return CrossingCoeffs(virtual, smooth)
 
 

@@ -24,6 +24,7 @@ from .diagram import (
 
 def bracket_gln(d: Diagram, x: Loop, y: Loop, order: int = DEFAULT_ORDER) -> FormalSum:
     """GL(n)/U(n) bracket: sum_i eps_i W_{x *_i y} (integer h^0 coefficients)."""
+    d.require_valid()
     out = FormalSum.zero(order)
     for pid, eps in d.crossings_between(x, y):
         joined = canonical(d.concat_at(x, y, pid).word, "oriented")
@@ -41,6 +42,7 @@ def bracket_sl2(
     """
     if form not in ("alt", "reversal"):
         raise ValueError(f"form must be 'alt' or 'reversal', got {form!r}")
+    d.require_valid()
     out = FormalSum.zero(order)
     conv = "unoriented"
     for pid, eps in d.crossings_between(x, y):

@@ -14,16 +14,20 @@ belong to the same evolving component into its two segments.  Subsets of
 such swaps commute, so the state only depends on which crossings were
 smoothed, never on the processing order.
 
-One depth-first walk visits the states for both the exact and the
-closed-form path: it swaps and un-swaps a single successor array, and the
-states come in the order of a binary count over the crossings, the first
-one processed most significant.  The exact series
-path cuts every branch with more than K smoothings.  That is exact, not an
-approximation: the smoothing coefficient has no h^0 term, so a state with
-s smoothings has a coefficient of h-order at least s, and one with s > K
-truncates to zero.  This h-filtration is what makes the Goldman bracket the
-classical limit of the product.  The closed-form numeric path visits every
-state.
+One depth-first walk visits the states of every resolution sum: it swaps
+and un-swaps a single successor array, and the states come in the order of
+a binary count over the crossings, the first one processed most
+significant.  The exact series path cuts every branch with more than K
+smoothings.  That is exact, not an approximation: the smoothing
+coefficient has no h^0 term, so a state with s smoothings has a
+coefficient of h-order at least s, and one with s > K truncates to zero.
+This h-filtration is what makes the Goldman bracket the classical limit of
+the product.  The closed-form numeric path visits every state.
+
+The rank-2 two-smoothing resolution walks doubled cells, cell c + n being
+cell c walked backwards.  It starts from every crossing at its compatible
+smoothing, the oriented swap applied to both halves; the reversal
+smoothing joins head to head and tail to tail, two more swaps per crossing.
 """
 
 from __future__ import annotations
@@ -107,13 +111,16 @@ class Stacked:
                     ctype = "over" if eps_top_bottom > 0 else "under"
                     top, bottom = (c0, c1) if l0 > l1 else (c1, c0)
                     self.active.append(ActiveCrossing(pid, top, bottom, ctype))
-        # each cell's entry and its reversal, with their entry_key ranks
-        # among all of them: canonical forms compare ints, not key tuples
-        self.entries = [e for _, e in self.cells]
-        self.flipped = [(a, -dr) for a, dr in self.entries]
-        ranks = {k: r for r, k in enumerate(sorted({entry_key(e) for e in self.entries + self.flipped}))}
+        # entries of the doubled cells, cell c + n being cell c walked
+        # backwards, and the entries of their reversals, with entry_key
+        # ranks: canonical forms compare ints, not key tuples
+        n = len(self.cells)
+        fwd = [e for _, e in self.cells]
+        self.entries = fwd + [(a, -dr) for a, dr in fwd]
+        self.flipped = self.entries[n:] + fwd
+        ranks = {k: r for r, k in enumerate(sorted(set(map(entry_key, self.entries))))}
         self.keys = [ranks[entry_key(e)] for e in self.entries]
-        self.flipped_keys = [ranks[entry_key(e)] for e in self.flipped]
+        self.flipped_keys = self.keys[n:] + self.keys[:n]
 
     def cycles(self, succ: list[int]) -> list[list[int]]:
         """The loops of a state as lists of cells, each from its first cell."""
@@ -148,34 +155,35 @@ class Stacked:
 
 
 def _states(
-    st: Stacked, idxs: Sequence[int], unoriented: bool, budget: int | None = None
-) -> Iterator[tuple[list[bool], Monomial]]:
-    """Depth-first over the resolution states, crossings taken in idxs
-    order, the unsmoothed branch first: a binary count with the first
-    crossing most significant.  A branch with more than budget smoothings is
-    cut.  Yields (smoothed, monomial) per state; smoothed is one shared list
-    of flags in idxs order, valid until the next state."""
-    succ = list(st.succ)
-    swaps = [(st.active[i].cell_top, st.active[i].cell_bottom) for i in idxs]
-    smoothed = [False] * len(swaps)
+    succ: Sequence[int], swaps: Sequence[Sequence[tuple[int, int]]], budget: int | None = None
+) -> Iterator[tuple[list[bool], list[int]]]:
+    """Depth-first over the resolution states: crossing j toggles by
+    applying the successor swaps swaps[j], which touch distinct positions,
+    so applying them again untoggles it.  The untoggled branch comes first:
+    the states come as a binary count with crossing 0 most significant.  A
+    branch with more than budget toggled crossings is cut.  Yields
+    (toggled, succ) per state: one shared list of flags and one shared
+    successor array, both valid until the next state."""
+    succ = list(succ)
+    toggled = [False] * len(swaps)
     left = len(swaps) if budget is None else budget
     while True:
-        yield smoothed, st.canonical_monomial(st.cycles(succ), unoriented)
-        # next state: un-smooth the trailing crossings, last swapped first,
-        # then smooth the last crossing before them that the budget allows
+        yield toggled, succ
+        # next state: untoggle the trailing crossings, then toggle the last
+        # crossing before them that the budget allows
         j = len(swaps) - 1
-        while j >= 0 and (smoothed[j] or not left):
-            if smoothed[j]:
-                a, b = swaps[j]
-                succ[a], succ[b] = succ[b], succ[a]
-                smoothed[j] = False
+        while j >= 0 and (toggled[j] or not left):
+            if toggled[j]:
+                for a, b in swaps[j]:
+                    succ[a], succ[b] = succ[b], succ[a]
+                toggled[j] = False
                 left += 1
             j -= 1
         if j < 0:
             return
-        a, b = swaps[j]
-        succ[a], succ[b] = succ[b], succ[a]
-        smoothed[j] = True
+        for a, b in swaps[j]:
+            succ[a], succ[b] = succ[b], succ[a]
+        toggled[j] = True
         left -= 1
 
 
@@ -192,27 +200,39 @@ def _stackings(factors: Sequence[Mapping[Monomial, object]], levels: Sequence[in
         yield leveled, reduce(mul, (c for _, c in terms))
 
 
+def _stacked_sum(
+    d: Diagram, factors: Sequence[FormalSum], levels: Sequence[int], group: GroupSpec, order: int
+) -> FormalSum:
+    """Sum over the stackings of the factors at the given levels of the
+    chosen coefficients times the expectation of the stacked loops."""
+    out = FormalSum.zero(order)
+    for leveled, c in _stackings([f.terms for f in factors], levels):
+        out.add_scaled(expect_loops(d, leveled, group, order), c)
+    return out
+
+
 @lru_cache(maxsize=256)
 def _state_table(
     group: GroupSpec, order: int, n_over: int, n_under: int
-) -> tuple[tuple[tuple[SeriesCoeff, ...], ...], bool]:
-    """State coefficients for n_over over- and n_under under-crossings, and
-    whether cutting at order smoothings is exact.
+) -> tuple[tuple[SeriesCoeff, ...], ...]:
+    """State coefficients for n_over over- and n_under under-crossings.
 
     A state's coefficient depends only on how many crossings of each type
     were smoothed: table[i][j] is smooth^i * virtual^(n_over - i) of the
     over-crossing times the same of the under-crossing with j and n_under.
-    When the cut is exact, only i + j <= order is ever asked for, and the
-    rows stop there.  Cached per process; the tuples keep shared entries
+    The walk cuts at order smoothings, so only i + j <= order is ever asked
+    for, and the rows stop there.  That cut is exact only while no
+    smoothing coefficient has an h^0 term, so one that has raises
+    StarError.  Cached per process; the tuples keep shared entries
     immutable."""
     pairs = {t: crossing_coeffs(group, t, order) for t, n in (("over", n_over), ("under", n_under)) if n}
-    exact_cut = all(p.smooth[0] == 0 for p in pairs.values())
-    budget = order if exact_cut else n_over + n_under
+    if any(p.smooth[0] for p in pairs.values()):
+        raise StarError(f"{group}: a smoothing coefficient has an h^0 term; the cut at K is not exact")
     one = SeriesCoeff.one(order)
 
     def type_factors(t: str, n: int) -> list[SeriesCoeff]:
-        """smooth^s * virtual^(n - s) for s = 0..min(n, budget)."""
-        top = min(n, budget)
+        """smooth^s * virtual^(n - s) for s = 0..min(n, order)."""
+        top = min(n, order)
         smooth, virtual = [one], [one]
         for _ in range(top):
             smooth.append(smooth[-1] * pairs[t].smooth)
@@ -221,8 +241,7 @@ def _state_table(
         return [smooth[s] * virtual[n - s] for s in range(top + 1)]
 
     over, under = type_factors("over", n_over), type_factors("under", n_under)
-    table = tuple(tuple(a * b for b in under[: budget - i + 1]) for i, a in enumerate(over))
-    return table, exact_cut
+    return tuple(tuple(a * b for b in under[: order - i + 1]) for i, a in enumerate(over))
 
 
 def expect_loops(
@@ -241,13 +260,13 @@ def expect_loops(
     if sorted(idxs) != list(range(len(st.active))):
         raise StarError("resolution_order must permute the active crossings")
     over = [st.active[i].ctype == "over" for i in idxs]
-    table, exact_cut = _state_table(group, order, sum(over), len(over) - sum(over))
-    # cutting at K smoothings is exact while no smoothing has an h^0 term
-    budget = order if exact_cut else None
+    table = _state_table(group, order, sum(over), len(over) - sum(over))
+    swaps = [[(st.active[i].cell_top, st.active[i].cell_bottom)] for i in idxs]
+    unoriented = group.convention == "unoriented"
     out = FormalSum.zero(order)
-    for smoothed, m in _states(st, idxs, group.convention == "unoriented", budget):
+    for smoothed, succ in _states(st.succ, swaps, order):
         n_over = sum(compress(over, smoothed))
-        out.add_term(m, table[n_over][sum(smoothed) - n_over])
+        out.add_term(st.canonical_monomial(st.cycles(succ), unoriented), table[n_over][sum(smoothed) - n_over])
     return out
 
 
@@ -263,8 +282,11 @@ def expect_values(
     st = Stacked(d, leveled)
     vals = {t: closed_crossing_values(group, t, beta) for t in {a.ctype for a in st.active}}
     steps = [vals[a.ctype] for a in st.active]
+    swaps = [[(a.cell_top, a.cell_bottom)] for a in st.active]
+    unoriented = group.convention == "unoriented"
     out: dict[Monomial, complex] = {}
-    for smoothed, m in _states(st, range(len(steps)), group.convention == "unoriented"):
+    for smoothed, succ in _states(st.succ, swaps):
+        m = st.canonical_monomial(st.cycles(succ), unoriented)
         coeff = 1.0 + 0j
         for (cv, cs), s in zip(steps, smoothed):
             coeff = coeff * (cs if s else cv)
@@ -292,11 +314,7 @@ def star(
     if order is None:
         order = f.order
     d.require_valid()
-    f, g = f.truncated(order), g.truncated(order)
-    out = FormalSum.zero(order)
-    for leveled, c in _stackings((f.terms, g.terms), (1, -1)):
-        out.add_scaled(expect_loops(d, leveled, group, order), c)
-    return out
+    return _stacked_sum(d, (f.truncated(order), g.truncated(order)), (1, -1), group, order)
 
 
 def star_complex(
@@ -308,6 +326,7 @@ def star_complex(
 ) -> dict[Monomial, complex]:
     """Numeric star product on monomial sums with complex coefficients,
     using the closed-form crossing values.  Supports nesting."""
+    d.require_valid()
     out: dict[Monomial, complex] = {}
     for leveled, c in _stackings((f, g), (1, -1)):
         for mono, val in expect_values(d, leveled, group, beta).items():
@@ -379,14 +398,9 @@ def assoc_check(
     if order is None:
         order = u.order
     u, v, w = (x.truncated(order) for x in (u, v, w))
-
-    def trilevel(levels: tuple[int, int, int]) -> FormalSum:
-        out = FormalSum.zero(order)
-        for leveled, c in _stackings((u.terms, v.terms, w.terms), levels):
-            out.add_scaled(expect_loops(d, leveled, group, order), c)
-        return out
-
-    level_residual = trilevel((2, 0, -1)) - trilevel((1, 0, -2))
+    level_residual = _stacked_sum(d, (u, v, w), (2, 0, -1), group, order) - _stacked_sum(
+        d, (u, v, w), (1, 0, -2), group, order
+    )
     nested_residual = star(d, star(d, u, v, group, order), w, group, order) - star(
         d, u, star(d, v, w, group, order), group, order
     )
@@ -410,40 +424,26 @@ def assoc_check(
 #
 # Orientation flags are bookkeeping only here: a crossing's two unoriented
 # smoothings are the two ways of re-pairing its four strand ends, fixed by
-# the ORIGINAL stacked orientations.  Pairings at distinct crossings touch
-# disjoint ends, so the state depends only on the subset of reversal
-# choices, never on processing order.
+# the ORIGINAL stacked orientations.
 
 
-def _link(pair: dict[int, int], e1: int, e2: int):
-    pair[e1] = e2
-    pair[e2] = e1
-
-
-def _pairing_circles(st: Stacked, pair: dict[int, int]) -> list[tuple]:
-    """Closed walks through the end-pairing: ends 2c / 2c+1 are the tail and
-    head of cell c; traversing a cell against its stored sense flips the
-    word entry."""
+def _pairing_circles(st: Stacked, succ: list[int]) -> list[list[int]]:
+    """The circles of a two-smoothing state on the doubled cells, each once:
+    walked from its first forward cell, the walk through the mirrored cells
+    being the same circle reversed."""
     n = len(st.cells)
-    visited = [False] * n
-    words = []
+    seen = [False] * n
+    out = []
     for start in range(n):
-        if visited[start]:
+        if seen[start]:
             continue
-        word = []
-        cur, sense = start, 1
-        while True:
-            visited[cur] = True
-            e = st.cells[cur][1]
-            word.append(e if sense == 1 else (e[0], -e[1]))
-            exit_end = 2 * cur + (1 if sense == 1 else 0)
-            nxt_end = pair[exit_end]
-            cur = nxt_end // 2
-            sense = 1 if nxt_end % 2 == 0 else -1
-            if cur == start:
-                break
-        words.append(tuple(word))
-    return words
+        cycle, c = [], start
+        while not seen[c % n]:
+            seen[c % n] = True
+            cycle.append(c)
+            c = succ[c]
+        out.append(cycle)
+    return out
 
 
 def unoriented_kauffman_resolution(
@@ -456,38 +456,38 @@ def unoriented_kauffman_resolution(
     (per-loop W -> -W) unoriented convention: every active crossing becomes
     a*(compatible smoothing) + b*(reversal smoothing) for an over-crossing,
     with a and b swapped for an under-crossing.  No double-point term
-    remains.
+    remains.  The states come in the order of a binary count with the first
+    active crossing least significant.
 
     Evaluation contract: summing coeff(state) * prod(-W_loop) over the
     result equals (-1)^(#input loops) times the oriented expectation.
     """
     if not group.orientation_free:
         raise StarError("unoriented resolution applies to the rank-2 groups only")
+    d.require_valid()
     st = Stacked(d, leveled)
-    a, b = kauffman_coeffs(order)
-    crossings = list(st.active)
+    crossings = st.active[::-1]  # the walk counts with the first one last
     if len({ac.point for ac in crossings}) != len(crossings):
         raise StarError("duplicate loops are not supported in the unoriented resolution")
-    base: dict[int, int] = {}
-    for c in range(len(st.cells)):
-        _link(base, 2 * c + 1, 2 * st.succ[c])
+    n = len(st.cells)
+    start = st.succ + [0] * n
+    for c, s in enumerate(st.succ):
+        start[n + s] = n + c
+    swaps = []
+    for ac in crossings:
+        c0, c1 = ac.cell_top, ac.cell_bottom
+        n0, n1 = st.succ[c0], st.succ[c1]
+        # compatible smoothing, forwards and backwards
+        start[c0], start[c1], start[n + n0], start[n + n1] = n1, n0, n + c1, n + c0
+        # reversal smoothing: head to head and tail to tail
+        swaps.append([(c0, n + n0), (c1, n + n1)])
+    a, b = kauffman_coeffs(order)
+    over = [ac.ctype == "over" for ac in crossings]
     out = FormalSum.zero(order)
-    for mask in range(2 ** len(crossings)):
-        pair = dict(base)
+    for flipped, succ in _states(start, swaps):
         coeff = SeriesCoeff.one(order)
-        for i, ac in enumerate(crossings):
-            c0, c1 = ac.cell_top, ac.cell_bottom
-            n0, n1 = st.succ[c0], st.succ[c1]
-            if mask >> i & 1:  # reversal smoothing: in-in and out-out
-                _link(pair, 2 * c0 + 1, 2 * c1 + 1)
-                _link(pair, 2 * n0, 2 * n1)
-                coeff = coeff * (b if ac.ctype == "over" else a)
-            else:  # compatible smoothing: same reconnection as the oriented one
-                _link(pair, 2 * c0 + 1, 2 * n1)
-                _link(pair, 2 * c1 + 1, 2 * n0)
-                coeff = coeff * (a if ac.ctype == "over" else b)
-        out.add_term(
-            monomial(canonical(w, "unoriented") for w in _pairing_circles(st, pair)),
-            coeff,
-        )
+        for f, o in zip(flipped, over):
+            # b: reversal smoothing of an over-, compatible one of an under-crossing
+            coeff = coeff * (b if f == o else a)
+        out.add_term(st.canonical_monomial(_pairing_circles(st, succ), True), coeff)
     return out

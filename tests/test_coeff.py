@@ -192,7 +192,10 @@ def test_series_hyperbolic_against_sympy():
 
 def test_series_hyperbolic_validation():
     with pytest.raises(CoeffError):
-        series_hyperbolic("cosh_scaled", 3, 0)
+        series_hyperbolic("cosh_scaled", 3, -1)
+    # order 0 is the constant term alone
+    assert list(series_hyperbolic("cosh_scaled", 3, 0).coeffs) == [1]
+    assert list(series_hyperbolic("sinh_over_root", 3, 0).coeffs) == [0]
     with pytest.raises(CoeffError):
         series_hyperbolic("cosh_scaled", -1, 4)
     with pytest.raises(CoeffError):

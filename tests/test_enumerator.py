@@ -4,19 +4,22 @@ the 2^k states independently and canonicalizes its words with canonical(),
 which the last property checks against the minimum over all rotations."""
 
 import cmath
+import importlib
 import random
 from itertools import product
 from math import comb
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from loopstar.coeff import GroupSpec, SeriesCoeff, closed_crossing_values, crossing_coeffs
+from loopstar.coeff import CrossingCoeffs, GroupSpec, SeriesCoeff, closed_crossing_values, crossing_coeffs
 from loopstar.diagram import Arc, canonical, entry_key, monomial, parse_diagram, reverse_word
-from loopstar.star import Stacked, _state_table, expect_loops, expect_values
+from loopstar.star import Stacked, StarError, _state_table, expect_loops, expect_values
 from loopstar.checks import random_diagram
 
+star_module = importlib.import_module("loopstar.star")  # the package exports star()
 GROUPS = (GroupSpec("su2"), GroupSpec("sl2r"), GroupSpec("sl2c"), GroupSpec("gln", 3), GroupSpec("un", 2))
 MAX_ACTIVE = 8
 
@@ -114,11 +117,28 @@ def test_state_tables_cached_per_group_order_and_counts():
         got = expect_loops(d, leveled, group, order)
         assert got.terms == {m: c for m, c in want.items() if not c.is_zero()}, (group, order, i)
     assert _state_table.cache_info().hits > 0
-    table, exact_cut = _state_table(GroupSpec("su2"), 2, 3, 1)
-    assert exact_cut
+    table = _state_table(GroupSpec("su2"), 2, 3, 1)
     assert type(table) is tuple and all(type(row) is tuple for row in table)
     # rows stop at i + j <= order: states beyond it are never visited
     assert [len(row) for row in table] == [2, 2, 1]
+
+
+def test_smoothing_with_an_h0_term_is_an_error(monkeypatch):
+    """The walk cuts at K smoothings, which is exact only while every
+    smoothing coefficient vanishes at h^0."""
+
+    def with_h0_smoothing(group, ctype, order):
+        cc = crossing_coeffs(group, ctype, order)
+        return CrossingCoeffs(cc.virtual, cc.smooth + 1)
+
+    d, leveled = two_curves("+-")
+    monkeypatch.setattr(star_module, "crossing_coeffs", with_h0_smoothing)
+    _state_table.cache_clear()
+    try:
+        with pytest.raises(StarError, match="h\\^0"):
+            expect_loops(d, leveled, GroupSpec("su2"), 3)
+    finally:
+        _state_table.cache_clear()
 
 
 def test_series_path_visits_only_states_within_order(monkeypatch):

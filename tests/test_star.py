@@ -21,7 +21,7 @@ from loopstar.diagram import (
     monomial,
     parse_diagram,
 )
-from loopstar.goldman import bracket_poly
+from loopstar.goldman import bracket_gln, bracket_loops, bracket_poly, bracket_sl2
 from loopstar.holonomy import (
     eval_complex_sum,
     eval_formal,
@@ -247,20 +247,37 @@ def test_order_above_the_factor_order_is_an_error():
         star(d, as_factor(d, su2, "C", order=4), as_factor(d, su2, "D", order=4), su2, order=8)
 
 
+INVALID = {
+    UNDECLARED: "undeclared point b",
+    "point a +\ncurve C level 1: a\ncurve D level 0: a\ncurve E level 0: a\n": "triple point",
+    "point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: a\n": "only one pass",
+}
+
+
 def test_invalid_diagram_is_rejected_at_every_entry_point():
-    d = parse_diagram(UNDECLARED)
-    su2 = GroupSpec("su2")
-    x, y = d.loop_of("C"), d.loop_of("D")
-    f, g = as_factor(d, su2, "C"), as_factor(d, su2, "D")
-    calls = [
-        lambda: star_loops(d, x, y, su2, K),
-        lambda: star(d, f, g, su2),
-        lambda: expect_loops(d, [(x, 1), (y, -1)], su2, K),
-        lambda: bracket_poly(d, f, g, su2),
-    ]
-    for call in calls:
-        with pytest.raises(DiagramError, match="undeclared point b"):
-            call()
+    su2, gl2 = GroupSpec("su2"), GroupSpec("gln", 2)
+    for text, message in INVALID.items():
+        d = parse_diagram(text)
+        x, y = d.loop_of("C"), d.loop_of("D")
+        f, g = as_factor(d, su2, "C"), as_factor(d, su2, "D")
+        fc, gc = ({m: complex(c.eval_h(0.2)) for m, c in s.terms.items()} for s in (f, g))
+        calls = [
+            lambda: star_loops(d, x, y, su2, K),
+            lambda: star(d, f, g, su2),
+            lambda: expect_loops(d, [(x, 1), (y, -1)], su2, K),
+            lambda: expect_values(d, [(x, 1), (y, -1)], su2, 0.1),
+            lambda: star_complex(d, fc, gc, su2, 0.1),
+            lambda: star_complex(d, {}, gc, su2, 0.1),
+            lambda: bracket_poly(d, f, g, su2),
+            lambda: bracket_loops(d, x, y, su2),
+            lambda: bracket_loops(d, x, y, gl2),
+            lambda: bracket_sl2(d, x, y, "reversal"),
+            lambda: bracket_gln(d, x, y),
+            lambda: unoriented_kauffman_resolution(d, [(x, 1), (y, -1)], su2, K),
+        ]
+        for call in calls:
+            with pytest.raises(DiagramError, match=message):
+                call()
 
 
 # -- poisson limit ----------------------------------------------------------------
