@@ -471,11 +471,15 @@ def formal_sum_to_json(fs: FormalSum) -> str:
 _DIRECTIONS = {"+": 1, "-": -1}
 
 
-def formal_sum_from_json(text: str) -> FormalSum:
-    """Inverse of formal_sum_to_json.  Loops are canonicalized (oriented
-    least rotation), so rotated words of one loop merge; an empty loop word,
-    a direction flag other than "+"/"-", a bad arc id, or a coefficient list
-    without exactly order + 1 entries raises DiagramError."""
+def formal_sum_from_json(text: str, convention: str = "oriented") -> FormalSum:
+    """Inverse of formal_sum_to_json.  Loops are canonicalized under the
+    convention, so rotated words of one loop merge, and under "unoriented"
+    (the rank-2 groups) a loop and its reversal merge too; an empty loop
+    word, a direction flag other than "+"/"-", a bad arc id, an unknown
+    convention, or a coefficient list without exactly order + 1 entries
+    raises DiagramError."""
+    if convention not in ("oriented", "unoriented"):
+        raise DiagramError(f"unknown convention {convention!r}")
     data = json.loads(text)
     order = data["order"]
     fs = FormalSum(order=order)
@@ -491,6 +495,6 @@ def formal_sum_from_json(text: str) -> FormalSum:
                 if direction is None:
                     raise DiagramError(f"term {t}: direction flag {flag!r}, expected '+' or '-'")
                 word.append((Arc.from_id(aid), direction))
-            loops.append(canonical(word))
+            loops.append(canonical(word, convention))
         fs.add_term(monomial(loops), SeriesCoeff([Fraction(x) for x in coeffs], order=order))
     return fs

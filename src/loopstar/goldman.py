@@ -45,6 +45,7 @@ def bracket_sl2(
     d.require_valid()
     out = FormalSum.zero(order)
     conv = "unoriented"
+    prod = None
     for pid, eps in d.crossings_between(x, y):
         joined = canonical(d.concat_at(x, y, pid).word, conv)
         if form == "reversal":
@@ -52,7 +53,8 @@ def bracket_sl2(
             out.add_term(monomial([joined]), Fraction(eps, 2))
             out.add_term(monomial([rev]), Fraction(-eps, 2))
         else:
-            prod = monomial([canonical(x.word, conv), canonical(y.word, conv)])
+            if prod is None:
+                prod = monomial([canonical(x.word, conv), canonical(y.word, conv)])
             out.add_term(monomial([joined]), Fraction(eps))
             out.add_term(prod, Fraction(-eps, 2))
     return out
@@ -81,23 +83,36 @@ def bracket_poly(
 ) -> FormalSum:
     """Bilinear extension with the Leibniz rule over the loops of each
     monomial.  Loop pairs sharing arcs are rejected as non-transversal.
-    The factors' coefficients are truncated to order."""
+    The factors' coefficients are truncated to order.  Each distinct loop
+    pair is bracketed once per call."""
     if order is None:
         order = f.order
     d.require_valid()
     f, g = f.truncated(order), g.truncated(order)
     conv = group.convention
     out = FormalSum.zero(order)
+    bases: dict[tuple[Loop, Loop], FormalSum] = {}
+    canon: dict[Loop, Loop] = {}
     for m, cm in f.terms.items():
         for mp, cmp_ in g.terms.items():
+            c = None
             for i, lx in enumerate(m):
                 rest_m = m[:i] + m[i + 1 :]
                 for j, ly in enumerate(mp):
                     rest_mp = mp[:j] + mp[j + 1 :]
-                    base = bracket_loops(d, lx, ly, group, form, order)
+                    base = bases.get((lx, ly))
+                    if base is None:
+                        base = bases[lx, ly] = bracket_loops(d, lx, ly, group, form, order)
                     if base.is_zero():
                         continue
-                    extra = tuple(canonical(l.word, conv) for l in rest_m + rest_mp)
-                    out.add_scaled(base.mul_monomial(monomial(extra)), cm * cmp_)
+                    extra = []
+                    for l in rest_m + rest_mp:
+                        cl = canon.get(l)
+                        if cl is None:
+                            cl = canon[l] = canonical(l.word, conv)
+                        extra.append(cl)
+                    if c is None:
+                        c = cm * cmp_
+                    out.add_scaled(base.mul_monomial(monomial(extra)), c)
     return out
 

@@ -8,13 +8,14 @@ profile is realizable by a smooth connection, so identities quantified over
 connections are tested by quantifying over assignments.
 
 Holonomy words multiply left to right along the path, so the transport of
-"x then y" is hol(x) @ hol(y).
+"x then y" is hol(x) @ hol(y).  Within one eval_formal or eval_complex_sum
+call each distinct loop's Wilson value is computed once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,16 +160,32 @@ def verify_gram_identity(group: GroupSpec, u: np.ndarray, v: np.ndarray, basis: 
 
 @dataclass(frozen=True)
 class HolonomyAssignment:
-    """Map arc id -> invertible matrix, with the group it was sampled for."""
+    """Map arc id -> invertible matrix, with the group it was sampled for.
+
+    Treated as immutable after construction, like Diagram: each arc's
+    matrix and its inverse are looked up once and kept, so replacing an
+    entry of ``matrices`` or changing an array in place afterwards can
+    leave stale matrices or inverses.  Build a new assignment instead."""
 
     group: GroupSpec
     matrices: dict[str, np.ndarray]
+    _resolved: dict[Arc, np.ndarray] = field(default_factory=dict, init=False, compare=False, repr=False)
+    _inverses: dict[Arc, np.ndarray] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def matrix(self, arc: Arc) -> np.ndarray:
-        try:
-            return self.matrices[arc.id]
-        except KeyError:
-            raise HolonomyError(f"no matrix assigned to arc {arc.id}") from None
+        m = self._resolved.get(arc)
+        if m is None:
+            try:
+                m = self._resolved[arc] = self.matrices[arc.id]
+            except KeyError:
+                raise HolonomyError(f"no matrix assigned to arc {arc.id}") from None
+        return m
+
+    def inverse(self, arc: Arc) -> np.ndarray:
+        m = self._inverses.get(arc)
+        if m is None:
+            m = self._inverses[arc] = np.linalg.inv(self.matrix(arc))
+        return m
 
 
 def random_assignment(d: Diagram, group: GroupSpec, rng: np.random.Generator) -> HolonomyAssignment:
@@ -187,8 +204,7 @@ def loop_matrix(loop: Loop, assign: HolonomyAssignment, base_gap: int | None = N
     n = assign.group.n
     acc = np.eye(n, dtype=complex)
     for arc, d in word:
-        m = assign.matrix(arc)
-        acc = acc @ (m if d == 1 else np.linalg.inv(m))
+        acc = acc @ (assign.matrix(arc) if d == 1 else assign.inverse(arc))
     return acc
 
 
@@ -204,21 +220,34 @@ def eval_monomial(m: Monomial, assign: HolonomyAssignment) -> complex:
     return out
 
 
+def _cached_monomial(m: Monomial, assign: HolonomyAssignment, wilson: dict[Loop, complex]) -> complex:
+    """eval_monomial with the Wilson values of one call kept in wilson."""
+    out = 1.0 + 0j
+    for loop in m:
+        w = wilson.get(loop)
+        if w is None:
+            w = wilson[loop] = eval_wilson(loop, assign)
+        out *= w
+    return out
+
+
 def eval_formal(fs: FormalSum, assign: HolonomyAssignment, beta: float) -> complex:
     """Evaluate a formal sum: truncated-series coefficients at h = 2*beta
     times the Wilson values of the monomials."""
+    wilson: dict[Loop, complex] = {}
     out = 0j
     for m, c in fs.terms.items():
-        out += c.eval_h(2.0 * beta) * eval_monomial(m, assign)
+        out += c.eval_h(2.0 * beta) * _cached_monomial(m, assign, wilson)
     return out
 
 
 def eval_complex_sum(terms: dict[Monomial, complex], assign: HolonomyAssignment) -> complex:
     """Evaluate a monomial sum whose coefficients are already numbers (the
     closed-form path)."""
+    wilson: dict[Loop, complex] = {}
     out = 0j
     for m, c in terms.items():
-        out += c * eval_monomial(m, assign)
+        out += c * _cached_monomial(m, assign, wilson)
     return out
 
 

@@ -291,6 +291,21 @@ def test_formal_sum_from_json_merges_rotated_words():
     assert fs == FormalSum({monomial([d.loop_of("C")]): SeriesCoeff([3, 1])}, order=1)
 
 
+def test_formal_sum_from_json_merges_reversed_words_under_the_unoriented_convention():
+    d = parse_diagram("point p +\npoint q -\ncurve C level 1: p q\ncurve D level 0: q p\n")
+    terms = [
+        {"coeff": ["1", "0"], "monomial": [[["C.0", "+"], ["C.1", "+"]]]},
+        {"coeff": ["2", "1"], "monomial": [[["C.1", "-"], ["C.0", "-"]]]},
+    ]
+    text = json.dumps({"order": 1, "terms": terms})
+    fs = formal_sum_from_json(text, convention="unoriented")
+    loop = canonical(d.loop_of("C").word, "unoriented")
+    assert fs == FormalSum({monomial([loop]): SeriesCoeff([3, 1])}, order=1)
+    assert len(formal_sum_from_json(text)) == 2  # oriented: a loop and its reversal differ
+    with pytest.raises(DiagramError, match="unknown convention"):
+        formal_sum_from_json(json.dumps({"order": 0, "terms": []}), convention="both")
+
+
 @pytest.mark.parametrize("order,coeff", [(2, ["1", "0", "0", "5"]), (4, ["1"])])
 def test_formal_sum_from_json_rejects_a_wrong_coefficient_count(order, coeff):
     text = json.dumps({"order": order, "terms": [{"coeff": coeff, "monomial": [[["C.0", "+"]]]}]})
