@@ -476,10 +476,8 @@ def formal_sum_from_json(text: str, convention: str = "oriented") -> FormalSum:
     convention, so rotated words of one loop merge, and under "unoriented"
     (the rank-2 groups) a loop and its reversal merge too; an empty loop
     word, a direction flag other than "+"/"-", a bad arc id, an unknown
-    convention, or a coefficient list without exactly order + 1 entries
-    raises DiagramError."""
-    if convention not in ("oriented", "unoriented"):
-        raise DiagramError(f"unknown convention {convention!r}")
+    convention (rejected by canonical), or a coefficient list without
+    exactly order + 1 entries raises DiagramError."""
     data = json.loads(text)
     order = data["order"]
     fs = FormalSum(order=order)

@@ -45,7 +45,6 @@ def bracket_sl2(
     d.require_valid()
     out = FormalSum.zero(order)
     conv = "unoriented"
-    prod = None
     for pid, eps in d.crossings_between(x, y):
         joined = canonical(d.concat_at(x, y, pid).word, conv)
         if form == "reversal":
@@ -53,8 +52,7 @@ def bracket_sl2(
             out.add_term(monomial([joined]), Fraction(eps, 2))
             out.add_term(monomial([rev]), Fraction(-eps, 2))
         else:
-            if prod is None:
-                prod = monomial([canonical(x.word, conv), canonical(y.word, conv)])
+            prod = monomial([canonical(x.word, conv), canonical(y.word, conv)])
             out.add_term(monomial([joined]), Fraction(eps))
             out.add_term(prod, Fraction(-eps, 2))
     return out
@@ -92,10 +90,8 @@ def bracket_poly(
     conv = group.convention
     out = FormalSum.zero(order)
     bases: dict[tuple[Loop, Loop], FormalSum] = {}
-    canon: dict[Loop, Loop] = {}
     for m, cm in f.terms.items():
         for mp, cmp_ in g.terms.items():
-            c = None
             for i, lx in enumerate(m):
                 rest_m = m[:i] + m[i + 1 :]
                 for j, ly in enumerate(mp):
@@ -105,14 +101,7 @@ def bracket_poly(
                         base = bases[lx, ly] = bracket_loops(d, lx, ly, group, form, order)
                     if base.is_zero():
                         continue
-                    extra = []
-                    for l in rest_m + rest_mp:
-                        cl = canon.get(l)
-                        if cl is None:
-                            cl = canon[l] = canonical(l.word, conv)
-                        extra.append(cl)
-                    if c is None:
-                        c = cm * cmp_
-                    out.add_scaled(base.mul_monomial(monomial(extra)), c)
+                    extra = tuple(canonical(l.word, conv) for l in rest_m + rest_mp)
+                    out.add_scaled(base.mul_monomial(monomial(extra)), cm * cmp_)
     return out
 

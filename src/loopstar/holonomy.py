@@ -15,7 +15,7 @@ call each distinct loop's Wilson value is computed once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,32 +160,16 @@ def verify_gram_identity(group: GroupSpec, u: np.ndarray, v: np.ndarray, basis: 
 
 @dataclass(frozen=True)
 class HolonomyAssignment:
-    """Map arc id -> invertible matrix, with the group it was sampled for.
-
-    Treated as immutable after construction, like Diagram: each arc's
-    matrix and its inverse are looked up once and kept, so replacing an
-    entry of ``matrices`` or changing an array in place afterwards can
-    leave stale matrices or inverses.  Build a new assignment instead."""
+    """Map arc id -> invertible matrix, with the group it was sampled for."""
 
     group: GroupSpec
     matrices: dict[str, np.ndarray]
-    _resolved: dict[Arc, np.ndarray] = field(default_factory=dict, init=False, compare=False, repr=False)
-    _inverses: dict[Arc, np.ndarray] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def matrix(self, arc: Arc) -> np.ndarray:
-        m = self._resolved.get(arc)
-        if m is None:
-            try:
-                m = self._resolved[arc] = self.matrices[arc.id]
-            except KeyError:
-                raise HolonomyError(f"no matrix assigned to arc {arc.id}") from None
-        return m
-
-    def inverse(self, arc: Arc) -> np.ndarray:
-        m = self._inverses.get(arc)
-        if m is None:
-            m = self._inverses[arc] = np.linalg.inv(self.matrix(arc))
-        return m
+        try:
+            return self.matrices[arc.id]
+        except KeyError:
+            raise HolonomyError(f"no matrix assigned to arc {arc.id}") from None
 
 
 def random_assignment(d: Diagram, group: GroupSpec, rng: np.random.Generator) -> HolonomyAssignment:
@@ -204,7 +188,8 @@ def loop_matrix(loop: Loop, assign: HolonomyAssignment, base_gap: int | None = N
     n = assign.group.n
     acc = np.eye(n, dtype=complex)
     for arc, d in word:
-        acc = acc @ (assign.matrix(arc) if d == 1 else assign.inverse(arc))
+        m = assign.matrix(arc)
+        acc = acc @ (m if d == 1 else np.linalg.inv(m))
     return acc
 
 
@@ -214,14 +199,12 @@ def eval_wilson(loop: Loop, assign: HolonomyAssignment) -> complex:
 
 
 def eval_monomial(m: Monomial, assign: HolonomyAssignment) -> complex:
-    out = 1.0 + 0j
-    for loop in m:
-        out *= eval_wilson(loop, assign)
-    return out
+    return _monomial_value(m, assign, {})
 
 
-def _cached_monomial(m: Monomial, assign: HolonomyAssignment, wilson: dict[Loop, complex]) -> complex:
-    """eval_monomial with the Wilson values of one call kept in wilson."""
+def _monomial_value(m: Monomial, assign: HolonomyAssignment, wilson: dict[Loop, complex]) -> complex:
+    """Product of the monomial's Wilson values, left to right from 1; a
+    loop's value is computed once and kept in wilson for the caller's call."""
     out = 1.0 + 0j
     for loop in m:
         w = wilson.get(loop)
@@ -237,7 +220,7 @@ def eval_formal(fs: FormalSum, assign: HolonomyAssignment, beta: float) -> compl
     wilson: dict[Loop, complex] = {}
     out = 0j
     for m, c in fs.terms.items():
-        out += c.eval_h(2.0 * beta) * _cached_monomial(m, assign, wilson)
+        out += c.eval_h(2.0 * beta) * _monomial_value(m, assign, wilson)
     return out
 
 
@@ -247,7 +230,7 @@ def eval_complex_sum(terms: dict[Monomial, complex], assign: HolonomyAssignment)
     wilson: dict[Loop, complex] = {}
     out = 0j
     for m, c in terms.items():
-        out += c * _cached_monomial(m, assign, wilson)
+        out += c * _monomial_value(m, assign, wilson)
     return out
 
 

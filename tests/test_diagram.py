@@ -303,7 +303,7 @@ def test_formal_sum_from_json_merges_reversed_words_under_the_unoriented_convent
     assert fs == FormalSum({monomial([loop]): SeriesCoeff([3, 1])}, order=1)
     assert len(formal_sum_from_json(text)) == 2  # oriented: a loop and its reversal differ
     with pytest.raises(DiagramError, match="unknown convention"):
-        formal_sum_from_json(json.dumps({"order": 0, "terms": []}), convention="both")
+        formal_sum_from_json(text, convention="both")
 
 
 @pytest.mark.parametrize("order,coeff", [(2, ["1", "0", "0", "5"]), (4, ["1"])])
