@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -46,16 +45,6 @@ class CliError(Exception):
 
 def _group_from_args(args) -> GroupSpec:
     return GroupSpec(args.group, args.n)
-
-
-def _default_order() -> int:
-    env = os.environ.get("LOOPSTAR_ORDER")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"LOOPSTAR_ORDER must be an integer, got {env!r}")
-    return DEFAULT_ORDER
 
 
 def _load_diagram(path: str):
@@ -196,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--group", choices=["su2", "sl2r", "sl2c", "gln", "un"], default="su2")
     common.add_argument("--n", type=int, default=2, help="matrix size for gln/un")
-    common.add_argument("--order", type=int, default=None, help="series truncation order K")
+    common.add_argument("--order", type=int, default=DEFAULT_ORDER, help="series truncation order K")
     common.add_argument("--format", choices=["json", "text"], default="json")
     common.add_argument("--eval-beta", type=float, default=None, dest="eval_beta")
     common.add_argument("--seed", type=int, default=0)
@@ -228,12 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.order is None:
-        try:
-            args.order = _default_order()
-        except CliError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
     try:
         return args.fn(args)
     except (DiagramError, StarError, CoeffError, HolonomyError, CliError) as e:

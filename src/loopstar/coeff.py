@@ -1,11 +1,14 @@
 """Exact truncated series ring in the deformation parameter h, and the
 per-crossing coefficient tables for each supported group.
 
-Every coefficient that appears in a crossing resolution is a polynomial in h
-with rational coefficients once the coupling is written as beta = h/2: the
-hyperbolic functions cosh(beta*sqrt(D)) and sinh(beta*sqrt(D))/sqrt(D) only
-involve even powers of sqrt(D), and the framing exponentials exp(±beta*n/2)
-are plain exponentials of a rational multiple of h.
+Every group's coefficients come from c = n/2 and the framing rate f (0 on
+the rank-2 kinds, n/2 on gl(n) and u(n)): the over-crossing pair is the
+first column of exp(beta*M), M = [[f - c, 1], [2, f + c]], and as
+(M - f*I)^2 = delta*I with delta = c^2 + 2 it is exp(beta*f) times
+(cosh(beta*r) - c*sinh(beta*r)/r, 2*sinh(beta*r)/r), r = sqrt(delta); the
+under-crossing takes beta -> -beta.  With beta = h/2 each entry is a
+polynomial in h with rational coefficients, since only even powers of r
+occur.
 
 A series is stored as integer numerators over one positive common
 denominator, in lowest terms.  Sums and products work on Python ints and
@@ -211,9 +214,9 @@ class GroupSpec:
 
     @property
     def delta(self) -> Fraction:
-        if self.kind in SL2_FAMILY:
-            return Fraction(3)
-        return Fraction(self.n * self.n, 4) + 2
+        """c^2 + 2, so that (M - f*I)^2 = delta*I for the crossing generator M."""
+        c, _ = _rates(self)
+        return c * c + 2
 
     @property
     def orientation_free(self) -> bool:
@@ -237,6 +240,20 @@ class CrossingCoeffs:
 
     virtual: SeriesCoeff
     smooth: SeriesCoeff
+
+
+def _rates(group: GroupSpec) -> tuple[Fraction, Fraction]:
+    """(c, f) = (n/2, framing rate); the framing rate alone tells the rank-2
+    kinds (f = 0) from gl(n) and u(n) (f = n/2)."""
+    c = Fraction(group.n, 2)
+    return c, Fraction(0) if group.kind in SL2_FAMILY else c
+
+
+def _sign(ctype: str) -> int:
+    """+1 for an over-crossing, -1 for an under-crossing."""
+    if ctype not in ("over", "under"):
+        raise CoeffError(f"crossing type must be 'over' or 'under', got {ctype!r}")
+    return 1 if ctype == "over" else -1
 
 
 def series_hyperbolic(kind: str, delta, order: int) -> SeriesCoeff:
@@ -268,21 +285,14 @@ def exp_series(rate, order: int) -> SeriesCoeff:
 
 
 def crossing_coeffs(group: GroupSpec, ctype: str, order: int = DEFAULT_ORDER) -> CrossingCoeffs:
-    """Resolution coefficients of a single over- or under-crossing."""
-    if ctype not in ("over", "under"):
-        raise CoeffError(f"crossing type must be 'over' or 'under', got {ctype!r}")
+    """Resolution coefficients of a single over- or under-crossing: the
+    closed forms of closed_crossing_values as series in h = 2*beta."""
+    sgn = _sign(ctype)
+    c, f = _rates(group)
     cosh = series_hyperbolic("cosh_scaled", group.delta, order)
     sor = series_hyperbolic("sinh_over_root", group.delta, order)
-    sgn = 1 if ctype == "over" else -1
-    if group.kind in SL2_FAMILY:
-        virtual = cosh - sgn * sor
-        smooth = sgn * 2 * sor
-    else:
-        # beta*n/2 = (n/4)*h
-        framing = exp_series(sgn * Fraction(group.n, 4), order)
-        virtual = framing * (cosh - sgn * Fraction(group.n, 2) * sor)
-        smooth = framing * (sgn * 2 * sor)
-    return CrossingCoeffs(virtual, smooth)
+    framing = exp_series(sgn * f / 2, order)  # exp(sgn*beta*f) = exp(sgn*(f/2)*h)
+    return CrossingCoeffs(framing * (cosh - sgn * c * sor), framing * (sgn * 2 * sor))
 
 
 def closed_crossing_values(group: GroupSpec, ctype: str, beta: float) -> tuple[complex, complex]:
@@ -291,33 +301,26 @@ def closed_crossing_values(group: GroupSpec, ctype: str, beta: float) -> tuple[c
     This path is authoritative for numeric oracles; the series path is its
     truncation.
     """
-    if ctype not in ("over", "under"):
-        raise CoeffError(f"crossing type must be 'over' or 'under', got {ctype!r}")
-    sgn = 1.0 if ctype == "over" else -1.0
+    sgn = _sign(ctype)
+    c, f = _rates(group)
     rd = math.sqrt(float(group.delta))
     ch = math.cosh(beta * rd)
     sh = math.sinh(beta * rd) / rd
-    if group.kind in SL2_FAMILY:
-        return complex(ch - sgn * sh), complex(sgn * 2.0 * sh)
-    framing = math.exp(sgn * beta * group.n / 2.0)
-    return (
-        complex(framing * (ch - sgn * (group.n / 2.0) * sh)),
-        complex(framing * sgn * 2.0 * sh),
-    )
+    framing = math.exp(sgn * beta * float(f)) if f else 1.0  # not exp(inf * 0) at beta = inf
+    return complex(framing * (ch - sgn * float(c) * sh)), complex(framing * sgn * 2.0 * sh)
 
 
 def closed_form_strings(group: GroupSpec, ctype: str) -> tuple[str, str]:
-    """Human-readable closed forms of (virtual, smooth) in the coupling beta."""
-    if ctype not in ("over", "under"):
-        raise CoeffError(f"crossing type must be 'over' or 'under', got {ctype!r}")
-    s = "-" if ctype == "over" else "+"
-    t = "+" if ctype == "over" else "-"
-    if group.kind in SL2_FAMILY:
-        return (
-            f"cosh(sqrt(3)*beta) {s} sinh(sqrt(3)*beta)/sqrt(3)",
-            f"{t}2*sinh(sqrt(3)*beta)/sqrt(3)",
-        )
+    """Human-readable closed forms of (virtual, smooth) in the coupling beta;
+    without framing (the rank-2 kinds, c = 1) the factors of 1 are left out."""
+    s, t = ("-", "+") if _sign(ctype) > 0 else ("+", "-")
     n, d = group.n, group.delta
+    _, f = _rates(group)
+    if not f:
+        return (
+            f"cosh(sqrt({d})*beta) {s} sinh(sqrt({d})*beta)/sqrt({d})",
+            f"{t}2*sinh(sqrt({d})*beta)/sqrt({d})",
+        )
     e = f"exp({t}beta*{n}/2)"
     return (
         f"{e}*(cosh(beta*sqrt({d})) {s} ({n}/2)*sinh(beta*sqrt({d}))/sqrt({d}))",
@@ -344,22 +347,17 @@ def kauffman_values(beta: float) -> tuple[complex, complex]:
 
 
 def derived_generator(group: GroupSpec, ctype: str = "over"):
-    """2x2 rational matrix M with d/dbeta (f, g) = M (f, g), (f, g)(0) = (1, 0),
-    where (f, g) are the closed-form crossing coefficients.
+    """2x2 rational matrix M with d/dbeta (v, s) = M (v, s), (v, s)(0) = (1, 0),
+    where (v, s) are the closed-form (virtual, smooth) coefficients.
 
-    Returned rows are ((a, c), (b, d)): f' = a f + c g,  g' = b f + d g.
-    The under-crossing generator is the negation of the over one (the closed
-    forms are related by beta -> -beta).
+    Rows are ((M00, M01), (M10, M11)): v' = M00 v + M01 s,  s' = M10 v + M11 s.
+    Over a crossing M = [[f - c, 1], [2, f + c]] with (c, f) from _rates; the
+    under-crossing generator is its negation (the closed forms are related
+    by beta -> -beta).
     """
-    if ctype not in ("over", "under"):
-        raise CoeffError(f"crossing type must be 'over' or 'under', got {ctype!r}")
-    if group.kind in SL2_FAMILY:
-        m = ((Fraction(-1), Fraction(1)), (Fraction(2), Fraction(1)))
-    else:
-        m = ((Fraction(0), Fraction(1)), (Fraction(2), Fraction(group.n)))
-    if ctype == "under":
-        m = tuple(tuple(-x for x in row) for row in m)
-    return m
+    sgn = _sign(ctype)
+    c, f = _rates(group)
+    return ((sgn * (f - c), Fraction(sgn)), (Fraction(2 * sgn), sgn * (f + c)))
 
 
 def exp_generator(group: GroupSpec, ctype: str = "over", order: int = DEFAULT_ORDER) -> tuple[SeriesCoeff, SeriesCoeff]:

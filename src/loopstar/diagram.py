@@ -474,25 +474,37 @@ _DIRECTIONS = {"+": 1, "-": -1}
 def formal_sum_from_json(text: str, convention: str = "oriented") -> FormalSum:
     """Inverse of formal_sum_to_json.  Loops are canonicalized under the
     convention, so rotated words of one loop merge, and under "unoriented"
-    (the rank-2 groups) a loop and its reversal merge too; an empty loop
-    word, a direction flag other than "+"/"-", a bad arc id, an unknown
-    convention (rejected by canonical), or a coefficient list without
-    exactly order + 1 entries raises DiagramError."""
+    (the rank-2 groups) a loop and its reversal merge too.  Malformed input
+    (no object, an order that is not an int >= 0, a coefficient list without
+    exactly order + 1 rationals, a word entry that is not [arc id, flag], an
+    empty word, a bad flag or arc id, an unknown convention) raises
+    DiagramError."""
     data = json.loads(text)
-    order = data["order"]
+    if not isinstance(data, dict):
+        raise DiagramError(f"a formal sum is a JSON object, got {type(data).__name__}")
+    order = data.get("order")
+    if type(order) is not int or order < 0:
+        raise DiagramError(f"order must be an int >= 0, got {order!r}")
     fs = FormalSum(order=order)
     for t, item in enumerate(data["terms"]):
         coeffs = item["coeff"]
         if len(coeffs) != order + 1:
             raise DiagramError(f"term {t}: {len(coeffs)} coefficients, expected order + 1 = {order + 1}")
+        try:
+            coeffs = [Fraction(x) for x in coeffs]
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise DiagramError(f"term {t}: coefficients {coeffs!r} are not all rationals") from None
         loops = []
         for w in item["monomial"]:
             word = []
-            for aid, flag in w:
+            for entry in w:
+                if not (isinstance(entry, list) and len(entry) == 2):
+                    raise DiagramError(f"term {t}: word entry {entry!r}, expected [arc id, flag]")
+                aid, flag = entry
                 direction = _DIRECTIONS.get(flag) if isinstance(flag, str) else None
                 if direction is None:
                     raise DiagramError(f"term {t}: direction flag {flag!r}, expected '+' or '-'")
                 word.append((Arc.from_id(aid), direction))
             loops.append(canonical(word, convention))
-        fs.add_term(monomial(loops), SeriesCoeff([Fraction(x) for x in coeffs], order=order))
+        fs.add_term(monomial(loops), SeriesCoeff(coeffs, order=order))
     return fs

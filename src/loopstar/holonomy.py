@@ -217,11 +217,8 @@ def _monomial_value(m: Monomial, assign: HolonomyAssignment, wilson: dict[Loop, 
 def eval_formal(fs: FormalSum, assign: HolonomyAssignment, beta: float) -> complex:
     """Evaluate a formal sum: truncated-series coefficients at h = 2*beta
     times the Wilson values of the monomials."""
-    wilson: dict[Loop, complex] = {}
-    out = 0j
-    for m, c in fs.terms.items():
-        out += c.eval_h(2.0 * beta) * _monomial_value(m, assign, wilson)
-    return out
+    h = 2.0 * beta
+    return eval_complex_sum({m: c.eval_h(h) for m, c in fs.terms.items()}, assign)
 
 
 def eval_complex_sum(terms: dict[Monomial, complex], assign: HolonomyAssignment) -> complex:

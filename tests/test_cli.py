@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from loopstar.cli import main
+from loopstar.coeff import DEFAULT_ORDER
 from loopstar.diagram import formal_sum_from_json
 
 DIAGRAMS = pathlib.Path(__file__).resolve().parent.parent / "diagrams"
@@ -139,11 +140,8 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
-def test_env_order_override(capsys, monkeypatch):
+def test_order_defaults_to_default_order(capsys, monkeypatch):
+    # the order comes from --order alone; no environment variable is read
     monkeypatch.setenv("LOOPSTAR_ORDER", "3")
     code, out, _ = run(capsys, "coeffs", "--group", "su2", "--type", "over")
-    assert code == 0
-    assert json.loads(out)["K"] == 3
-    monkeypatch.setenv("LOOPSTAR_ORDER", "zz")
-    code, _, err = run(capsys, "coeffs")
-    assert code == 2 and "LOOPSTAR_ORDER" in err
+    assert code == 0 and json.loads(out)["K"] == DEFAULT_ORDER

@@ -5,6 +5,7 @@ generator matrices are recovered by ODE matching with finite differences of
 the closed forms, never read back from the implementation.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from loopstar.coeff import (
     GroupSpec,
     SeriesCoeff,
     closed_crossing_values,
+    closed_form_strings,
     crossing_coeffs,
     derived_generator,
     exp_generator,
@@ -383,3 +385,49 @@ def test_series_misc():
         SeriesCoeff([1, 2]) + SeriesCoeff([1, 2, 3])
     with pytest.raises(CoeffError):
         SeriesCoeff([0.5])
+
+
+# -- golden digest of every coefficient table, generator and closed form --------
+
+GOLDEN_GROUPS = (
+    [GroupSpec("su2"), GroupSpec("sl2r"), GroupSpec("sl2c")]
+    + [GroupSpec(kind, n) for kind in ("gln", "un") for n in range(1, 6)]
+)
+GOLDEN_BETAS = (-0.7, 0.0, 0.05, 0.1, 0.3, 0.5, 1.0, 2.5)
+
+
+def coefficient_digest() -> str:
+    """sha256 over the exact tables (num/den), the generator and its series
+    exponential, the closed-form strings and the repr of the closed-form
+    floats of every group, both crossing types and K = 0..10, plus the
+    Kauffman coefficients and values."""
+    digest = hashlib.sha256()
+
+    def put(x):
+        digest.update(repr(x).encode() + b"\n")
+
+    def exact(s):
+        return (s.num, s.den)
+
+    for group in GOLDEN_GROUPS:
+        put((str(group), group.delta))
+        for ctype in ("over", "under"):
+            put(derived_generator(group, ctype))
+            put(closed_form_strings(group, ctype))
+            for beta in GOLDEN_BETAS:
+                put(closed_crossing_values(group, ctype, beta))
+            for k in range(11):
+                cc = crossing_coeffs(group, ctype, k)
+                put((exact(cc.virtual), exact(cc.smooth)))
+                put(tuple(tuple(exact(e) for e in row) for row in exp_generator_matrix(group, ctype, k)))
+    for k in range(11):
+        put(tuple(exact(s) for s in kauffman_coeffs(k)))
+    for beta in GOLDEN_BETAS:
+        put(kauffman_values(beta))
+    return digest.hexdigest()
+
+
+def test_coefficient_outputs_match_golden():
+    # recorded from the per-kind closed forms before they were derived from
+    # (c, f); any changed table entry, string or float bit fails here
+    assert coefficient_digest() == "b1461c1b21a684aa0c07ca15222c2d74eb218af4a71b4b6276673dddb5afc267"

@@ -326,6 +326,46 @@ def test_formal_sum_from_json_rejects_an_unknown_direction_flag(flag):
         formal_sum_from_json(text)
 
 
+ONE_TERM = [{"coeff": ["1"], "monomial": [[["C.0", "+"]]]}]
+
+
+def test_formal_sum_from_json_rejects_a_string_order():
+    with pytest.raises(DiagramError, match="order"):
+        formal_sum_from_json(json.dumps({"order": "2", "terms": []}))
+
+
+def test_formal_sum_from_json_rejects_a_bool_order():
+    with pytest.raises(DiagramError, match="order"):
+        formal_sum_from_json(json.dumps({"order": True, "terms": []}))
+
+
+def test_formal_sum_from_json_rejects_a_negative_order():
+    with pytest.raises(DiagramError, match="order"):
+        formal_sum_from_json(json.dumps({"order": -1, "terms": []}))
+
+
+def test_formal_sum_from_json_rejects_a_missing_order():
+    with pytest.raises(DiagramError, match="order"):
+        formal_sum_from_json(json.dumps({"terms": ONE_TERM}))
+
+
+def test_formal_sum_from_json_rejects_a_top_level_list():
+    with pytest.raises(DiagramError, match="object"):
+        formal_sum_from_json(json.dumps([0, ONE_TERM]))
+
+
+def test_formal_sum_from_json_rejects_a_non_rational_coefficient():
+    text = json.dumps({"order": 0, "terms": [{"coeff": ["x"], "monomial": [[["C.0", "+"]]]}]})
+    with pytest.raises(DiagramError, match=r"term 0: coefficients \['x'\]"):
+        formal_sum_from_json(text)
+
+
+def test_formal_sum_from_json_rejects_a_word_entry_without_a_flag():
+    text = json.dumps({"order": 0, "terms": [{"coeff": ["1"], "monomial": [[["C.0"]]]}]})
+    with pytest.raises(DiagramError, match=r"term 0: word entry \['C.0'\]"):
+        formal_sum_from_json(text)
+
+
 @pytest.mark.parametrize("aid", ["C.x", "C.", "nodot", ".0"])
 def test_bad_arc_id_raises_diagram_error(aid):
     with pytest.raises(DiagramError, match="bad arc id"):

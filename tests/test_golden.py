@@ -1,6 +1,7 @@
 """Golden CLI outputs: the sha256 of stdout for star, expect and bracket on
-every corpus diagram, for su2 and gln(3), as JSON and with --eval-beta, and
-of the coefficient tables of both groups.  The digests were recorded from
+every corpus diagram, for su2 and gln(3), as JSON and with --eval-beta, of
+the coefficient tables of both groups, and of `check all --seed 42` (every
+verdict and printed residual).  The digests were recorded from
 the Fraction-based series kernel, so any change to the exact arithmetic or
 to the float evaluation that alters a printed byte fails here.
 
@@ -31,6 +32,7 @@ def cases() -> dict[str, list[str]]:
                     out[f"{verb}/{gname}/{path.stem}/{fname}"] = [verb, *gargs, *fargs, str(path)]
     for gname, gargs in GROUPS.items():
         out[f"coeffs/{gname}"] = ["coeffs", *gargs]
+    out["check/all/seed42"] = ["check", "all", "--seed", "42"]
     return out
 
 
@@ -121,12 +123,8 @@ GOLDEN = {
     "bracket/gln3/two_crossing/eval": (0, '2edf360f917c9ce4'),
     "coeffs/su2": (0, '469f7109d675d06d'),
     "coeffs/gln3": (0, 'aebdbd74da45f1e8'),
+    "check/all/seed42": (0, '6d66e8a7aa4215ca'),
 }
-
-
-@pytest.fixture(autouse=True)
-def _default_order(monkeypatch):
-    monkeypatch.delenv("LOOPSTAR_ORDER", raising=False)
 
 
 def test_golden_table_covers_every_case():
