@@ -5,13 +5,16 @@ curves with level > 0 as the left factor and the rest as the right factor,
 while `expect` stacks every curve at its declared level.  Rationals are
 printed as p/q strings; floats appear only under --eval-beta.
 
-Exit codes: 0 success, 1 domain error (validation, transversality), 2 usage.
+Exit codes: 0 success, 1 domain error (validation, transversality, a float
+overflow under --eval-beta), 2 usage (a non-finite --eval-beta among them).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 
 import numpy as np
@@ -67,6 +70,29 @@ def _split_factors(d, group: GroupSpec, order: int) -> tuple[FormalSum, FormalSu
     return f, g
 
 
+def _finite_beta(text: str) -> float:
+    """--eval-beta: a finite float; inf and nan are usage errors."""
+    try:
+        beta = float(text)
+    except ValueError:
+        beta = math.nan
+    if not math.isfinite(beta):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return beta
+
+
+def _finite_at(beta: float, evaluate) -> tuple[complex, ...]:
+    """evaluate() -> complex values at beta.  A float overflow, raised or
+    left as inf/nan, is a domain error, so no NaN or Infinity is printed."""
+    try:
+        values = evaluate()
+    except OverflowError:
+        values = (complex(math.nan),)
+    if not all(cmath.isfinite(v) for v in values):
+        raise CliError(f"the value at beta={beta!r} overflows a float")
+    return values
+
+
 def _loop_str(loop) -> str:
     return " ".join(a.id + ("" if dd == 1 else "~") for a, dd in loop.word)
 
@@ -89,7 +115,7 @@ def _emit_formal_sum(fs: FormalSum, args, group: GroupSpec, d, operation: str):
     ev = None
     if args.eval_beta is not None:
         assign = random_assignment(d, group, np.random.default_rng(args.seed))
-        value = eval_formal(fs, assign, args.eval_beta)
+        (value,) = _finite_at(args.eval_beta, lambda: (eval_formal(fs, assign, args.eval_beta),))
         ev = {"beta": args.eval_beta, "seed": args.seed, "value": [value.real, value.imag]}
     if args.format == "json":
         payload = {"group": str(group), "order": fs.order, "terms": _formal_sum_payload(fs), "operation": operation}
@@ -108,7 +134,9 @@ def _cmd_coeffs(args) -> int:
     types = ["over", "under"] if args.type == "both" else [args.type]
     rows = []
     for t in types:
-        at = None if args.eval_beta is None else closed_crossing_values(group, t, args.eval_beta)
+        at = None
+        if args.eval_beta is not None:
+            at = _finite_at(args.eval_beta, lambda: closed_crossing_values(group, t, args.eval_beta))
         rows.append((t, crossing_coeffs(group, t, order), closed_form_strings(group, t), at))
     if args.format == "json":
         tables = {}
@@ -187,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", type=int, default=2, help="matrix size for gln/un")
     common.add_argument("--order", type=int, default=DEFAULT_ORDER, help="series truncation order K")
     common.add_argument("--format", choices=["json", "text"], default="json")
-    common.add_argument("--eval-beta", type=float, default=None, dest="eval_beta")
+    common.add_argument("--eval-beta", type=_finite_beta, default=None, dest="eval_beta")
     common.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("coeffs", parents=[common], help="print crossing coefficient tables")

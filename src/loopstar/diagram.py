@@ -209,9 +209,6 @@ class FormalSum:
             out.add_term(m, -c)
         return out
 
-    def __neg__(self) -> "FormalSum":
-        return FormalSum({m: -c for m, c in self.terms.items()}, order=self.order)
-
     def scale(self, c) -> "FormalSum":
         if isinstance(c, (int, Fraction)):
             c = SeriesCoeff.constant(c, self.order)
@@ -475,18 +472,29 @@ def formal_sum_from_json(text: str, convention: str = "oriented") -> FormalSum:
     """Inverse of formal_sum_to_json.  Loops are canonicalized under the
     convention, so rotated words of one loop merge, and under "unoriented"
     (the rank-2 groups) a loop and its reversal merge too.  Malformed input
-    (no object, an order that is not an int >= 0, a coefficient list without
-    exactly order + 1 rationals, a word entry that is not [arc id, flag], an
-    empty word, a bad flag or arc id, an unknown convention) raises
-    DiagramError."""
-    data = json.loads(text)
+    (text that is not JSON, no object, an order that is not an int >= 0,
+    "terms" that is not a list, a term that is not an object with a "coeff"
+    list and a "monomial" list, a coefficient list without exactly order + 1
+    rationals, a loop word that is not a list, a word entry that is not
+    [arc id string, flag], an empty word, a bad flag or arc id, an unknown
+    convention) raises DiagramError."""
+    try:
+        data = json.loads(text)
+    except ValueError as e:
+        raise DiagramError(f"a formal sum is JSON text: {e}") from None
     if not isinstance(data, dict):
         raise DiagramError(f"a formal sum is a JSON object, got {type(data).__name__}")
     order = data.get("order")
     if type(order) is not int or order < 0:
         raise DiagramError(f"order must be an int >= 0, got {order!r}")
+    terms = data.get("terms")
+    if not isinstance(terms, list):
+        raise DiagramError(f"terms must be a list, got {terms!r}")
     fs = FormalSum(order=order)
-    for t, item in enumerate(data["terms"]):
+    for t, item in enumerate(terms):
+        if not (isinstance(item, dict) and isinstance(item.get("coeff"), list)
+                and isinstance(item.get("monomial"), list)):
+            raise DiagramError(f"term {t}: expected an object with a 'coeff' list and a 'monomial' list")
         coeffs = item["coeff"]
         if len(coeffs) != order + 1:
             raise DiagramError(f"term {t}: {len(coeffs)} coefficients, expected order + 1 = {order + 1}")
@@ -496,9 +504,11 @@ def formal_sum_from_json(text: str, convention: str = "oriented") -> FormalSum:
             raise DiagramError(f"term {t}: coefficients {coeffs!r} are not all rationals") from None
         loops = []
         for w in item["monomial"]:
+            if not isinstance(w, list):
+                raise DiagramError(f"term {t}: loop word {w!r}, expected a list of [arc id, flag]")
             word = []
             for entry in w:
-                if not (isinstance(entry, list) and len(entry) == 2):
+                if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
                     raise DiagramError(f"term {t}: word entry {entry!r}, expected [arc id, flag]")
                 aid, flag = entry
                 direction = _DIRECTIONS.get(flag) if isinstance(flag, str) else None

@@ -145,3 +145,31 @@ def test_order_defaults_to_default_order(capsys, monkeypatch):
     monkeypatch.setenv("LOOPSTAR_ORDER", "3")
     code, out, _ = run(capsys, "coeffs", "--group", "su2", "--type", "over")
     assert code == 0 and json.loads(out)["K"] == DEFAULT_ORDER
+
+
+@pytest.mark.parametrize("beta", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("verb", [
+    ["coeffs"],
+    ["star", str(DIAGRAMS / "one_crossing.ls")],
+    ["expect", str(DIAGRAMS / "one_crossing.ls")],
+    ["bracket", str(DIAGRAMS / "one_crossing.ls")],
+    ["check", "trace"],
+], ids=lambda v: v[0])
+def test_non_finite_eval_beta_is_a_usage_error(capsys, verb, beta):
+    with pytest.raises(SystemExit) as exc:
+        main([*verb, f"--eval-beta={beta}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--eval-beta", "1000"],
+    ["coeffs", "--format", "text", "--group", "gln", "--n", "3", "--eval-beta", "400"],
+    ["star", "--eval-beta", "1e200", str(DIAGRAMS / "one_crossing.ls")],
+    ["expect", "--eval-beta", "1e200", str(DIAGRAMS / "two_crossing.ls")],
+    ["expect", "--format", "text", "--eval-beta", "1e200", str(DIAGRAMS / "one_crossing.ls")],
+], ids=["coeffs", "coeffs-text", "star", "expect", "expect-text"])
+def test_an_overflowing_evaluation_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "overflows" in err

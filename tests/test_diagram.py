@@ -381,3 +381,21 @@ def test_arc_ids():
     assert Arc.from_id("C1.0") == a
     with pytest.raises(DiagramError):
         Arc.from_id("nodot")
+
+
+@pytest.mark.parametrize("text,match", [
+    (json.dumps({"order": 0}), "terms must be a list"),
+    (json.dumps({"order": 0, "terms": 5}), "terms must be a list"),
+    (json.dumps({"order": 0, "terms": [7]}), "term 0: expected an object"),
+    (json.dumps({"order": 0, "terms": [{"coeff": ["1"]}]}), "term 0: expected an object"),
+    (json.dumps({"order": 0, "terms": [{"monomial": [[["C.0", "+"]]]}]}), "term 0: expected an object"),
+    (json.dumps({"order": 0, "terms": [{"coeff": 3, "monomial": [[["C.0", "+"]]]}]}), "term 0: expected an object"),
+    (json.dumps({"order": 0, "terms": [{"coeff": ["1"], "monomial": 3}]}), "term 0: expected an object"),
+    (json.dumps({"order": 0, "terms": [{"coeff": ["1"], "monomial": [3]}]}), "term 0: loop word 3"),
+    (json.dumps({"order": 0, "terms": [{"coeff": ["1"], "monomial": [[[5, "+"]]]}]}), r"term 0: word entry \[5, '\+'\]"),
+    ("{", "JSON"),
+], ids=["no-terms", "terms-int", "term-int", "no-monomial", "no-coeff", "coeff-int",
+        "monomial-int", "word-int", "arc-id-int", "not-json"])
+def test_formal_sum_from_json_rejects_a_malformed_shape(text, match):
+    with pytest.raises(DiagramError, match=match):
+        formal_sum_from_json(text)

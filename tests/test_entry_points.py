@@ -1,6 +1,5 @@
 """Fresh-interpreter runs of the demos and of the CLI: each demo exits 0,
-and importing the CLI leaves scipy unloaded until the lattice check needs
-it."""
+and the CLI never loads scipy, which only the tests and one demo use."""
 
 import os
 import pathlib
@@ -28,9 +27,11 @@ def test_cli_import_leaves_scipy_unloaded():
         "import sys\n"
         "import loopstar.cli\n"
         "print('scipy' in sys.modules)\n"
-        "sys.exit(loopstar.cli.main(['check', 'lattice']))\n"
+        "code = loopstar.cli.main(['check', 'all', '--seed', '42'])\n"
+        "print('scipy' in sys.modules)\n"
+        "sys.exit(code)\n"
     ))
     assert proc.returncode == 0, proc.stderr
-    first, verdict = proc.stdout.splitlines()
-    assert first == "False"
-    assert verdict.startswith("[PASS] lattice-derivative")
+    first, *verdicts, last = proc.stdout.splitlines()
+    assert first == "False" and last == "False"
+    assert len(verdicts) == 12 and all(v.startswith("[PASS]") for v in verdicts)

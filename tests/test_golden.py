@@ -1,7 +1,7 @@
 """Golden CLI outputs: the sha256 of stdout for star, expect and bracket on
 every corpus diagram, for su2 and gln(3), as JSON and with --eval-beta, of
-the coefficient tables of both groups, and of `check all --seed 42` (every
-verdict and printed residual).  The digests were recorded from
+the coefficient tables of both groups, of `check all --seed 42` (every
+verdict and printed residual), and of `check lattice` at seeds 0 and 7.  The digests were recorded from
 the Fraction-based series kernel, so any change to the exact arithmetic or
 to the float evaluation that alters a printed byte fails here.
 
@@ -33,6 +33,8 @@ def cases() -> dict[str, list[str]]:
     for gname, gargs in GROUPS.items():
         out[f"coeffs/{gname}"] = ["coeffs", *gargs]
     out["check/all/seed42"] = ["check", "all", "--seed", "42"]
+    for seed in (0, 7):
+        out[f"check/lattice/seed{seed}"] = ["check", "lattice", "--seed", str(seed)]
     return out
 
 
@@ -124,6 +126,8 @@ GOLDEN = {
     "coeffs/su2": (0, '469f7109d675d06d'),
     "coeffs/gln3": (0, 'aebdbd74da45f1e8'),
     "check/all/seed42": (0, '6d66e8a7aa4215ca'),
+    "check/lattice/seed0": (0, 'de5205b8e5968d5a'),
+    "check/lattice/seed7": (0, '99f94f720de695df'),
 }
 
 

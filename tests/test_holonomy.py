@@ -3,10 +3,12 @@ lattice checks."""
 
 import numpy as np
 import pytest
+from scipy.linalg import expm  # the reference for _expm; scipy is a test-only dependency
 
 from loopstar.coeff import GroupSpec, SeriesCoeff
 from loopstar.diagram import FormalSum, monomial, parse_diagram
 from loopstar.holonomy import (
+    _expm,
     HolonomyAssignment,
     HolonomyError,
     eval_formal,
@@ -167,3 +169,35 @@ def test_lattice_validation():
         lattice_derivative_check(GroupSpec("su2"), 1, "interior")
     with pytest.raises(HolonomyError):
         lattice_derivative_check(GroupSpec("su2"), 8, "sideways")
+
+
+def _expm_gap(a):
+    ref = expm(a)
+    return np.max(np.abs(_expm(a) - ref)), 1e-13 * max(1.0, np.linalg.norm(ref, 2))
+
+
+@pytest.mark.parametrize("group", GROUPS + [GroupSpec("gln", 1), GroupSpec("un", 1)], ids=str)
+@pytest.mark.parametrize("scale", [1e-5, 1e-4, 1 / 64, 1.0])
+def test_expm_matches_scipy_on_lie_basis_elements(group, scale):
+    for e in lie_basis(group).basis:
+        gap, bound = _expm_gap(scale * e)
+        assert gap <= bound
+
+
+def test_expm_matches_scipy_on_random_complex_matrices():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        for norm in (1e-8, 1e-6, 1e-4, 1e-2, 0.3, 0.5, 1.0, 3.0, 10.0):
+            for _ in range(20):
+                a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                gap, bound = _expm_gap(a * (norm / np.linalg.norm(a, 2)))
+                assert gap <= bound
+
+
+def test_expm_of_zero_and_of_a_nilpotent():
+    for n in (1, 2, 3):
+        assert np.array_equal(_expm(np.zeros((n, n), dtype=complex)), np.eye(n))
+    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    assert np.array_equal(_expm(e12), np.eye(2) + e12)
+    gap, bound = _expm_gap(e12)
+    assert gap <= bound
