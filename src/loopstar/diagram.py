@@ -39,13 +39,17 @@ class Arc(NamedTuple):
 
     @classmethod
     def from_id(cls, s: str) -> "Arc":
+        """The arc whose id is s.  Only an id that Arc.id writes back as s,
+        with a non-negative index, is accepted: "C.01", "C.+1", "C. 1",
+        "C.1_0" and "C.-1" raise DiagramError."""
         curve, _, idx = s.rpartition(".")
-        if curve:
-            try:
-                return cls(curve, int(idx))
-            except ValueError:
-                pass
-        raise DiagramError(f"bad arc id {s!r}")
+        try:
+            arc = cls(curve, int(idx)) if curve and idx.isascii() and idx.isdigit() else None
+        except ValueError:  # more digits than int() converts
+            arc = None
+        if arc is None or arc.id != s:
+            raise DiagramError(f"bad arc id {s!r}")
+        return arc
 
 
 @dataclass(frozen=True)
@@ -87,11 +91,22 @@ class Loop:
     word: tuple[WordEntry, ...]
     # sort key of the word, filled on first use; not part of equality
     _key: tuple | None = field(default=None, compare=False, repr=False)
+    # hash((word,)), the hash a frozen dataclass computes, filled on first
+    # use; string hashes are salted per process, so it is never pickled
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def key(self):
         if self._key is None:
             object.__setattr__(self, "_key", tuple(entry_key(e) for e in self.word))
         return self._key
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.word,)))
+        return self._hash
+
+    def __reduce__(self):
+        return Loop, (self.word,)
 
     def __len__(self):
         return len(self.word)

@@ -121,6 +121,11 @@ class Stacked:
         ranks = {k: r for r, k in enumerate(sorted(set(map(entry_key, self.entries))))}
         self.keys = [ranks[entry_key(e)] for e in self.entries]
         self.flipped_keys = self.keys[n:] + self.keys[:n]
+        # per convention (oriented, unoriented), the (rank key, Loop) of
+        # each cell cycle canonicalized so far, keyed by its cell sequence:
+        # states share most of their cycles, so one state sum
+        # canonicalizes each distinct cycle once
+        self._loops: tuple[dict, dict] = ({}, {})
 
     def cycles(self, succ: list[int]) -> list[list[int]]:
         """The loops of a state as lists of cells, each from its first cell."""
@@ -139,19 +144,26 @@ class Stacked:
         return out
 
     def canonical_monomial(self, cycles: list[list[int]], unoriented: bool) -> Monomial:
-        """monomial(canonical(word) for each cycle), from the cell ranks."""
-        keys, flipped_keys = self.keys, self.flipped_keys
+        """monomial(canonical(word) for each cycle), from the cell ranks.
+        A cycle's cell sequence fixes its loop, since every cycle starts
+        at its first cell, so each distinct one is canonicalized once."""
+        memo = self._loops[unoriented]
         loops = []
         for cycle in cycles:
-            rev = cycle[::-1] if unoriented else None
-            start, flipped, key = least_form(
-                list(map(keys.__getitem__, cycle)),
-                list(map(flipped_keys.__getitem__, rev)) if unoriented else None,
-            )
-            seq, entries = (rev, self.flipped) if flipped else (cycle, self.entries)
-            loops.append((key, tuple(map(entries.__getitem__, seq[start:] + seq[:start]))))
+            cells = tuple(cycle)
+            found = memo.get(cells)
+            if found is None:
+                rev = cycle[::-1] if unoriented else None
+                start, flipped, key = least_form(
+                    list(map(self.keys.__getitem__, cycle)),
+                    list(map(self.flipped_keys.__getitem__, rev)) if unoriented else None,
+                )
+                seq, entries = (rev, self.flipped) if flipped else (cycle, self.entries)
+                word = tuple(map(entries.__getitem__, seq[start:] + seq[:start]))
+                found = memo[cells] = (key, Loop(word))
+            loops.append(found)
         loops.sort(key=itemgetter(0))
-        return tuple(Loop(word) for _, word in loops)
+        return tuple(loop for _, loop in loops)
 
 
 def _states(

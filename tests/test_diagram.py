@@ -1,6 +1,11 @@
 """Diagram model: validation, canonical forms, concatenation, text format."""
 
 import json
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from loopstar.diagram import (
     canonicalize,
     formal_sum_from_json,
     formal_sum_to_json,
+    Loop,
     monomial,
     parse_diagram,
     render_diagram,
@@ -375,6 +381,22 @@ def test_bad_arc_id_raises_diagram_error(aid):
         formal_sum_from_json(text)
 
 
+@pytest.mark.parametrize("aid", ["C.1_0", "C.+1", "C. 1", "C.01", "C.-1", "C.1 ", "C.\u0661"])
+def test_arc_id_that_does_not_round_trip_raises_diagram_error(aid):
+    """Each of these loads under int() as another id, or as a negative
+    index: C.10, C.1, C.-1."""
+    with pytest.raises(DiagramError, match="bad arc id"):
+        Arc.from_id(aid)
+    text = json.dumps({"order": 0, "terms": [{"coeff": ["1"], "monomial": [[[aid, "+"]]]}]})
+    with pytest.raises(DiagramError, match="bad arc id"):
+        formal_sum_from_json(text)
+
+
+@pytest.mark.parametrize("aid", ["C.0", "C.10", "a.b.7"])
+def test_arc_id_round_trips(aid):
+    assert Arc.from_id(aid).id == aid
+
+
 def test_arc_ids():
     a = Arc("C1", 0)
     assert a.id == "C1.0"
@@ -399,3 +421,44 @@ def test_arc_ids():
 def test_formal_sum_from_json_rejects_a_malformed_shape(text, match):
     with pytest.raises(DiagramError, match=match):
         formal_sum_from_json(text)
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORD = ((Arc("C", 0), 1), (Arc("D", 1), -1), (Arc("C", 2), 1))
+
+
+def python_with_hash_seed(seed: int, code: str, stdin: bytes = b"") -> bytes:
+    """stdout of code run in a fresh interpreter with PYTHONHASHSEED=seed."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)}
+    done = subprocess.run([sys.executable, "-c", code], input=stdin, env=env, capture_output=True,
+                          timeout=120, check=True)
+    return done.stdout
+
+
+def test_loop_hash_is_the_hash_of_its_word():
+    d = parse_diagram("point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\n")
+    x, y = d.loop_of("C"), d.loop_of("D")
+    for loop in (x, y, canonical(reverse(x).word, "unoriented"), reverse(y), d.concat_at(x, y, "a")):
+        assert hash(loop) == hash((loop.word,))
+        assert hash(loop) == hash(Loop(loop.word))
+
+
+def test_pickled_loop_carries_no_hash():
+    loop = canonical(WORD)
+    hash(loop), loop.key()
+    loaded = pickle.loads(pickle.dumps(loop))
+    assert loaded == loop and loaded._hash is None and loaded._key is None
+    assert hash(loaded) == hash(loop)
+
+
+def test_loop_pickled_in_another_process_is_found_by_hash():
+    """String hashes are salted per process, so a hash pickled with the
+    loop would not match a fresh loop's hash in the loading process."""
+    imports = "import pickle, sys\nfrom loopstar.diagram import Arc, Loop\n"
+    pickled = python_with_hash_seed(
+        1, imports + f"loop = Loop({WORD!r})\nhash(loop)\nsys.stdout.buffer.write(pickle.dumps(loop))\n")
+    found = python_with_hash_seed(
+        2, imports + f"table = {{Loop({WORD!r}): 'found'}}\n"
+        "print(table.get(pickle.loads(sys.stdin.buffer.read()), 'missing'))\n", pickled)
+    assert found.decode().strip() == "found"

@@ -15,8 +15,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loopstar.coeff import CrossingCoeffs, GroupSpec, SeriesCoeff, closed_crossing_values, crossing_coeffs
-from loopstar.diagram import Arc, canonical, entry_key, monomial, parse_diagram, reverse_word
-from loopstar.star import Stacked, StarError, _state_table, expect_loops, expect_values
+from loopstar.diagram import Arc, canonical, entry_key, monomial, parse_diagram, reverse, reverse_word
+from loopstar.star import Stacked, StarError, _state_table, _states, expect_loops, expect_values
 from loopstar.checks import random_diagram
 
 star_module = importlib.import_module("loopstar.star")  # the package exports star()
@@ -91,6 +91,32 @@ def test_closed_form_enumerator_matches_brute_force(stack, group, beta):
     assert got.keys() == want.keys()
     for m, v in want.items():
         assert cmath.isclose(got[m], v, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks(), st.sampled_from(GROUPS), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_canonical_monomial_memo_matches_fresh_canonical_forms(stack, group, reversed_):
+    """One Stacked serves both conventions on every state, alternating
+    between them; each monomial must equal the one built from the state's
+    words with canonical().  Reversed loops make the two conventions'
+    forms differ, so a memo shared between them fails."""
+    d, leveled, resolution_order = stack
+    leveled = [(reverse(l) if r else l, level) for (l, level), r in zip(leveled, reversed_)]
+    st_ = Stacked(d, leveled)
+    swaps = [[(st_.active[i].cell_top, st_.active[i].cell_bottom)] for i in resolution_order]
+    first = group.convention == "unoriented"
+    for _, succ in _states(st_.succ, swaps):
+        cycles = st_.cycles(succ)
+        words = [[st_.cells[c][1] for c in cycle] for cycle in cycles]
+        for unoriented in (first, not first):
+            got = st_.canonical_monomial(cycles, unoriented)
+            want = monomial(canonical(w, "unoriented" if unoriented else "oriented") for w in words)
+            assert got == want
+            assert all(hash(l) == hash((l.word,)) for l in got + want)
+    for a in st_.active:
+        x, y = (leveled[st_.cells[c][0]][0] for c in (a.cell_top, a.cell_bottom))
+        for l in (d.concat_at(x, y, a.point), reverse(x)):
+            assert hash(l) == hash((l.word,))
 
 
 def two_curves(signs: str):

@@ -9,21 +9,29 @@ digests were recorded before Wilson values and brackets were computed once
 per distinct loop or pair within a call, so a float operation done in
 another order, or a bracket term added in another order, fails here.
 
+DEEP_GOLDEN holds the same kind of digest for two large state sums, an su2
+star product of two curves crossing 10 times and a gln(3) one crossing 11
+times, at K=8: the formal_sum_to_json text of star_loops, and the
+expect_values items in dict order.  They were recorded before each state
+sum canonicalized each distinct cell cycle once, so a monomial built from
+another loop, or a state added in another order, fails here.
+
 To re-record after an intended output change, print the new table with
     PYTHONPATH=src python -c "import tests.test_eval_golden as g; g.print_table()"
 """
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
 from loopstar.checks import random_diagram
 from loopstar.coeff import GroupSpec
-from loopstar.diagram import FormalSum, canonical, formal_sum_to_json, monomial
+from loopstar.diagram import FormalSum, canonical, formal_sum_to_json, monomial, parse_diagram
 from loopstar.goldman import bracket_poly
 from loopstar.holonomy import eval_complex_sum, eval_formal, random_assignment
-from loopstar.star import star, star_complex
+from loopstar.star import expect_values, star, star_complex, star_loops
 
 GROUPS = {
     "su2": GroupSpec("su2"),
@@ -64,9 +72,45 @@ def digest(group: GroupSpec, seed: int) -> str:
     return hashlib.sha256(evaluations(group, seed).encode()).hexdigest()[:16]
 
 
+def crossing_twice(k: int, seed: int):
+    """Curve C at level 1 and curve D at level 0, both through the same k
+    points, D in a seeded random order, the signs seeded too."""
+    rng = random.Random(seed)
+    lines = [f"point x{j} {rng.choice('+-')}" for j in range(k)]
+    order = list(range(k))
+    rng.shuffle(order)
+    lines.append("curve C level 1: " + " ".join(f"x{j}" for j in range(k)))
+    lines.append("curve D level 0: " + " ".join(f"x{j}" for j in order))
+    return parse_diagram("\n".join(lines) + "\n")
+
+
+def deep_text(group: GroupSpec, k: int, seed: int, what: str) -> str:
+    d = crossing_twice(k, seed)
+    if what == "star_loops":
+        return formal_sum_to_json(star_loops(d, d.loop_of("C"), d.loop_of("D"), group, 8))
+    conv = group.convention
+    leveled = [(canonical(d.loop_of(c).word, conv), level) for c, level in (("C", 1), ("D", -1))]
+    return repr(list(expect_values(d, leveled, group, BETA).items()))
+
+
+def deep_cases() -> dict[str, tuple]:
+    return {
+        f"{gname}/k{k}/{what}": (group, k, 1, what)
+        for gname, group, k in (("su2", GROUPS["su2"], 10), ("gln3", GROUPS["gln3"], 11))
+        for what in ("star_loops", "expect_values")
+    }
+
+
+def deep_digest(group: GroupSpec, k: int, seed: int, what: str) -> str:
+    return hashlib.sha256(deep_text(group, k, seed, what).encode()).hexdigest()[:16]
+
+
 def print_table() -> None:
     for name, (group, seed) in cases().items():
         print(f'    "{name}": {digest(group, seed)!r},')
+    print()
+    for name, args in deep_cases().items():
+        print(f'    "{name}": {deep_digest(*args)!r},')
 
 
 GOLDEN = {
@@ -92,11 +136,24 @@ GOLDEN = {
     "un2/seed3": '8729618bde886bdf',
 }
 
+DEEP_GOLDEN = {
+    "su2/k10/star_loops": 'c53af06cd9029b6e',
+    "su2/k10/expect_values": 'cf4c38b38fed96a2',
+    "gln3/k11/star_loops": 'fb6d5c6f20e78f95',
+    "gln3/k11/expect_values": '70140b88f92cf5f8',
+}
+
 
 def test_golden_table_covers_every_case():
     assert set(GOLDEN) == set(cases())
+    assert set(DEEP_GOLDEN) == set(deep_cases())
 
 
 @pytest.mark.parametrize("name", sorted(cases()))
 def test_evaluations_match_golden(name):
     assert digest(*cases()[name]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(deep_cases()))
+def test_deep_state_sums_match_golden(name):
+    assert deep_digest(*deep_cases()[name]) == DEEP_GOLDEN[name]

@@ -1,12 +1,15 @@
 """Work done once per call: eval_formal and eval_complex_sum compute each
-distinct loop's matrix once, and bracket_poly brackets each distinct loop
-pair once.  Nothing computed for one call is reused by another.
+distinct loop's matrix once, bracket_poly brackets each distinct loop
+pair once, and a state sum canonicalizes each distinct cell cycle once.
+Nothing computed for one call is reused by another.
 
 The counters replace the module attributes that loopstar calls through at
-run time (holonomy.loop_matrix, goldman.bracket_loops), the way the
-benchmark's tracer rebinds them.
+run time (holonomy.loop_matrix, goldman.bracket_loops, star.least_form,
+Stacked.cycles), the way the benchmark's tracer rebinds them.
 """
 
+import importlib
+import random
 from collections import Counter
 
 import numpy as np
@@ -15,9 +18,11 @@ import pytest
 from loopstar import goldman, holonomy
 from loopstar.checks import random_diagram
 from loopstar.coeff import GroupSpec
-from loopstar.diagram import FormalSum, canonical, monomial
+from loopstar.diagram import FormalSum, canonical, monomial, parse_diagram
 from loopstar.holonomy import eval_complex_sum, eval_formal, eval_monomial, random_assignment
-from loopstar.star import star, star_complex
+from loopstar.star import Stacked, expect_loops, star, star_complex
+
+star_module = importlib.import_module("loopstar.star")  # the package exports star()
 
 GROUPS = (GroupSpec("su2"), GroupSpec("sl2c"), GroupSpec("gln", 3), GroupSpec("un", 2))
 ORDER = 4
@@ -120,3 +125,36 @@ def test_each_assignment_gets_its_own_value(group):
     assert values == [reference(numeric, a) for a in (first, second)]
     assert closed_values == [reference(closed, a) for a in (first, second)]
     assert values[0] != values[1] and closed_values[0] != closed_values[1]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+def test_state_sum_canonicalizes_each_distinct_cycle_once_per_call(group, monkeypatch):
+    """expect_loops at K=8 on two curves crossing 10 times: least_form
+    runs once per distinct cell cycle of the visited states, fewer times
+    than there are cycles, and again as often in a second call."""
+    rng = random.Random(0)
+    order = list(range(10))
+    rng.shuffle(order)
+    points = "".join(f"point x{j} {rng.choice('+-')}\n" for j in range(10))
+    d = parse_diagram(points + "curve C level 1: " + " ".join(f"x{j}" for j in range(10))
+                      + "\ncurve D level 0: " + " ".join(f"x{j}" for j in order) + "\n")
+    conv = group.convention
+    leveled = [(canonical(d.loop_of(c).word, conv), level) for c, level in (("C", 1), ("D", -1))]
+    calls = counting(monkeypatch, star_module, "least_form")
+    cycles = []
+    walk = Stacked.cycles
+
+    def recording(self, succ):
+        out = walk(self, succ)
+        cycles.extend(map(tuple, out))
+        return out
+
+    monkeypatch.setattr(Stacked, "cycles", recording)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        cycles.clear()
+        expect_loops(d, leveled, group, 8)
+        assert len(calls) == len(set(cycles)) < len(cycles)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
