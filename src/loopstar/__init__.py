@@ -34,18 +34,6 @@ from .diagram import (
     reverse,
 )
 from .goldman import bracket_gln, bracket_loops, bracket_poly, bracket_sl2
-from .holonomy import (
-    HolonomyAssignment,
-    eval_formal,
-    eval_monomial,
-    eval_wilson,
-    lattice_derivative_check,
-    lie_basis,
-    projection_pi,
-    random_assignment,
-    sample,
-    verify_gram_identity,
-)
 from .star import (
     assoc_check,
     expect_diagram,
@@ -59,3 +47,31 @@ from .star import (
 )
 
 __version__ = "0.1.0"
+
+# The numeric oracle's names are read from loopstar.holonomy on each access,
+# so `import loopstar` never loads numpy, and nothing is stored here that a
+# wrapper installed on loopstar.holonomy would miss.
+_HOLONOMY_NAMES = frozenset({
+    "HolonomyAssignment",
+    "eval_formal",
+    "eval_monomial",
+    "eval_wilson",
+    "lattice_derivative_check",
+    "lie_basis",
+    "projection_pi",
+    "random_assignment",
+    "sample",
+    "verify_gram_identity",
+})
+
+
+def __getattr__(name: str):
+    if name in _HOLONOMY_NAMES:
+        from . import holonomy
+
+        return getattr(holonomy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOLONOMY_NAMES)

@@ -5,6 +5,9 @@ curves with level > 0 as the left factor and the rest as the right factor,
 while `expect` stacks every curve at its declared level.  Rationals are
 printed as p/q strings; floats appear only under --eval-beta.
 
+numpy is imported only by --eval-beta, `check`, and the holonomy names, so
+`star`, `expect`, `bracket` and `coeffs` start without it.
+
 Exit codes: 0 success, 1 domain error (validation, transversality, a float
 overflow under --eval-beta), 2 usage (a non-finite --eval-beta among them).
 """
@@ -17,12 +20,11 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .coeff import (
     DEFAULT_ORDER,
     CoeffError,
     GroupSpec,
+    HolonomyError,
     closed_crossing_values,
     closed_form_strings,
     crossing_coeffs,
@@ -37,9 +39,7 @@ from .diagram import (
 # bench/tracer.py traces the term encoder under this name
 from .diagram import formal_sum_terms as _formal_sum_payload
 from .goldman import bracket_poly
-from .holonomy import HolonomyError, eval_formal, random_assignment
 from .star import StarError, expect_diagram, star
-from . import checks
 
 
 class CliError(Exception):
@@ -114,6 +114,10 @@ def _render_formal_sum_text(fs: FormalSum) -> str:
 def _emit_formal_sum(fs: FormalSum, args, group: GroupSpec, d, operation: str):
     ev = None
     if args.eval_beta is not None:
+        import numpy as np
+
+        from .holonomy import eval_formal, random_assignment
+
         assign = random_assignment(d, group, np.random.default_rng(args.seed))
         (value,) = _finite_at(args.eval_beta, lambda: (eval_formal(fs, assign, args.eval_beta),))
         ev = {"beta": args.eval_beta, "seed": args.seed, "value": [value.real, value.imag]}
@@ -192,6 +196,8 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import checks
+
     if args.suite == "all":
         results = checks.run_all(args.seed)
     elif args.suite in checks.SUITES:

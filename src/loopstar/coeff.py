@@ -35,6 +35,11 @@ class CoeffError(ValueError):
     pass
 
 
+class HolonomyError(ValueError):
+    """Raised by the numeric oracle (loopstar.holonomy); defined here so the
+    CLI can catch it without importing numpy."""
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

@@ -19,12 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import GroupSpec
+from .coeff import GroupSpec, HolonomyError
 from .diagram import Arc, Diagram, FormalSum, Loop, Monomial
-
-
-class HolonomyError(ValueError):
-    pass
 
 
 # -- samplers -----------------------------------------------------------------

@@ -405,7 +405,8 @@ def assoc_check(
     themselves are compared as formal sums too, and, when an assignment is
     given, evaluated numerically through the closed-form coefficient path.
     """
-    from .holonomy import eval_complex_sum  # local import to avoid cycle
+    # local import: holonomy loads numpy, which the exact path never needs
+    from .holonomy import eval_complex_sum
 
     if order is None:
         order = u.order

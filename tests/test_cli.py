@@ -173,3 +173,16 @@ def test_an_overflowing_evaluation_is_a_domain_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "overflows" in err
+
+
+def test_a_holonomy_error_under_eval_beta_is_a_domain_error(capsys, monkeypatch):
+    import loopstar.holonomy
+    from loopstar.coeff import HolonomyError
+
+    def fail(*args, **kwargs):
+        raise HolonomyError("no matrix assigned")
+
+    monkeypatch.setattr(loopstar.holonomy, "eval_formal", fail)
+    code, out, err = run(capsys, "star", "--eval-beta", "0.01", str(DIAGRAMS / "one_crossing.ls"))
+    assert code == 1 and out == ""
+    assert err == "error: no matrix assigned\n"

@@ -1,6 +1,9 @@
 """Fresh-interpreter runs of the demos and of the CLI: each demo exits 0,
-and the CLI never loads scipy, which only the tests and one demo use."""
+the CLI never loads scipy, which only the tests and one demo use, and the
+exact verbs never load numpy, which only the holonomy oracle uses; plus the
+package's lazy holonomy names."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -35,3 +38,75 @@ def test_cli_import_leaves_scipy_unloaded():
     first, *verdicts, last = proc.stdout.splitlines()
     assert first == "False" and last == "False"
     assert len(verdicts) == 12 and all(v.startswith("[PASS]") for v in verdicts)
+
+
+NUMERIC = ("numpy", "loopstar.holonomy", "loopstar.checks")
+
+
+def test_exact_verbs_leave_numpy_unloaded():
+    """import loopstar, import loopstar.cli and every star/expect/bracket/
+    coeffs call load none of NUMERIC; --eval-beta and check do."""
+    proc = python("-c", (
+        "import contextlib, io, json, pathlib, sys\n"
+        f"numeric = {NUMERIC!r}\n"
+        "loaded = lambda: [m for m in numeric if m in sys.modules]\n"
+        "report = {}\n"
+        "import loopstar\n"
+        "report['import loopstar'] = (0, loaded())\n"
+        "import loopstar.cli\n"
+        "report['import loopstar.cli'] = (0, loaded())\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = loopstar.cli.main(list(argv))\n"
+        "    report[' '.join(argv)] = (code, loaded())\n"
+        f"files = sorted(pathlib.Path({str(ROOT / 'diagrams')!r}).glob('*.ls'))\n"
+        "for g in (['--group', 'su2'], ['--group', 'gln', '--n', '3']):\n"
+        "    for f in files:\n"
+        "        for verb in ('star', 'expect', 'bracket'):\n"
+        "            run(verb, *g, str(f))\n"
+        "    run('coeffs', *g)\n"
+        "exact = len(report)\n"
+        "run('star', '--eval-beta', '0.01', str(files[0]))\n"
+        "run('check', 'series')\n"
+        "print(json.dumps([exact, list(report.items())]))\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    exact, report = json.loads(proc.stdout)
+    n_files = len(list((ROOT / "diagrams").glob("*.ls")))
+    assert n_files > 0 and exact == 2 + 2 * (3 * n_files + 1)
+    for what, (code, loaded) in report[:exact]:
+        assert code == 0 and loaded == [], what
+    (eval_what, (eval_code, eval_loaded)), (check_what, (check_code, check_loaded)) = report[exact:]
+    assert eval_code == 0 and eval_loaded == ["numpy", "loopstar.holonomy"], eval_what
+    assert check_code == 0 and check_loaded == list(NUMERIC), check_what
+
+
+HOLONOMY_NAMES = (
+    "HolonomyAssignment",
+    "eval_formal",
+    "eval_monomial",
+    "eval_wilson",
+    "lattice_derivative_check",
+    "lie_basis",
+    "projection_pi",
+    "random_assignment",
+    "sample",
+    "verify_gram_identity",
+)
+
+
+def test_holonomy_names_are_served_lazily():
+    import loopstar
+    import loopstar.coeff
+    import loopstar.holonomy
+
+    for name in HOLONOMY_NAMES:
+        assert getattr(loopstar, name) is getattr(loopstar.holonomy, name), name
+        assert name not in vars(loopstar), name
+    assert set(HOLONOMY_NAMES) <= set(dir(loopstar))
+    from loopstar import eval_formal
+
+    assert eval_formal is loopstar.holonomy.eval_formal
+    with pytest.raises(AttributeError, match=r"^module 'loopstar' has no attribute 'no_such_name'$"):
+        loopstar.no_such_name
+    assert loopstar.holonomy.HolonomyError is loopstar.coeff.HolonomyError
