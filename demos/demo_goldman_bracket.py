@@ -21,7 +21,7 @@ from loopstar import (
     parse_diagram,
     random_assignment,
 )
-from loopstar.diagram import canonical
+from loopstar.diagram import canonical, monomial_text
 from loopstar.holonomy import gram_pairing, lie_basis, loop_matrix
 
 TEXT = """\
@@ -45,8 +45,7 @@ for kind in ("gln", "su2"):
     b = bracket_poly(d, f, g, group)
     print(f"{{W_C, W_D}} in the {group} convention:")
     for m, coeff in b:
-        loops = " * ".join("W(" + " ".join(a.id + ("" if dd == 1 else "~") for a, dd in l.word) + ")" for l in m)
-        print(f"  {str(coeff[0]):>5}  {loops}")
+        print(f"  {str(coeff[0]):>5}  {monomial_text(m)}")
     print()
 
 print("Numeric oracle: the per-point functional-derivative sum")

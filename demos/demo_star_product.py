@@ -21,7 +21,7 @@ from loopstar import (
     random_assignment,
     star,
 )
-from loopstar.diagram import canonical
+from loopstar.diagram import canonical, monomial_text
 
 ONE = "point a +\ncurve C level 1: a\ncurve D level 0: a\n"
 
@@ -37,8 +37,7 @@ def factor(dg, group, *names, order=8):
 print("W_C * W_D for one positive crossing, SU(2):")
 s = star(d, factor(d, su2, "C"), factor(d, su2, "D"), su2)
 for m, c in s:
-    loops = " * ".join("W(" + " ".join(a.id + ("" if dd == 1 else "~") for a, dd in l.word) + ")" for l in m)
-    print(f"  [{', '.join(str(x) for x in c.coeffs[:5])}, ...]  {loops}")
+    print(f"  [{', '.join(str(x) for x in c.coeffs[:5])}, ...]  {monomial_text(m)}")
 print()
 print("The untouched term carries cosh(sqrt3 h/2) - sinh(sqrt3 h/2)/sqrt3,")
 print("the concatenation carries 2 sinh(sqrt3 h/2)/sqrt3.")

@@ -25,7 +25,7 @@ from loopstar import (
     unoriented_kauffman_resolution,
 )
 from loopstar.coeff import kauffman_values
-from loopstar.diagram import monomial
+from loopstar.diagram import monomial, monomial_text
 from loopstar.holonomy import eval_complex_sum, eval_monomial
 from loopstar.star import expect_loops, expect_values
 from loopstar.holonomy import eval_formal
@@ -47,8 +47,7 @@ loops = [(d.loop_of("C"), 1), (d.loop_of("D"), -1)]
 fhat = unoriented_kauffman_resolution(d, loops, su2, K)
 print("One over-crossing resolves into the two smoothings:")
 for m, c in fhat:
-    loops_str = " * ".join("W(" + " ".join(ar.id + ("" if dd == 1 else "~") for ar, dd in l.word) + ")" for l in m)
-    print(f"  [{', '.join(str(x) for x in c.coeffs[:4])}, ...]  {loops_str}")
+    print(f"  [{', '.join(str(x) for x in c.coeffs[:4])}, ...]  {monomial_text(m)}")
 print()
 
 print("Normalized evaluation agrees with the oriented expectation:")

@@ -25,7 +25,6 @@ from .diagram import (
     Monomial,
     TransversalityError,
     canonical,
-    canonicalize,
     formal_sum_from_json,
     formal_sum_to_json,
     monomial,

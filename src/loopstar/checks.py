@@ -21,7 +21,7 @@ from .coeff import (
     exp_generator_matrix,
     exp_series,
 )
-from .diagram import CrossingPoint, Curve, Diagram, FormalSum, canonical, monomial, parse_diagram
+from .diagram import CrossingPoint, Curve, Diagram, FormalSum, monomial, parse_diagram
 from . import goldman, holonomy
 from .star import (
     Stacked,
@@ -91,14 +91,13 @@ def random_factors(
     n_f = int(rng.integers(1, 3))
     n_g = int(rng.integers(1, 3))
     d = random_diagram(rng, n_curves=n_f + n_g)
-    conv = group.convention
     names = list(d.curves)
     f_loops = [d.loop_of(c) for c in names[:n_f]]
     g_loops = [d.loop_of(c) for c in names[n_f:]]
     if allow_duplicates and rng.random() < 0.25:
         f_loops.append(f_loops[0])
-    f = FormalSum.of(monomial(canonical(l.word, conv) for l in f_loops), order)
-    g = FormalSum.of(monomial(canonical(l.word, conv) for l in g_loops), order)
+    f = FormalSum.of(monomial(f_loops), order)
+    g = FormalSum.of(monomial(g_loops), order)
     return d, f, g
 
 
@@ -152,7 +151,7 @@ def check_crossing_tables(seed: int = 0) -> CheckResult:
             sgn = 1 if ctype == "over" else -1
             if cc.virtual[0] != 1 or cc.smooth[0] != 0:
                 failures.append(f"{grp}/{ctype}: h^0 slot")
-            want_v1 = Fraction(-sgn, 2) if grp.kind in ("su2", "sl2r", "sl2c") else Fraction(0)
+            want_v1 = Fraction(-sgn, 2) if grp.orientation_free else Fraction(0)
             if cc.virtual[1] != want_v1 or cc.smooth[1] != sgn:
                 failures.append(f"{grp}/{ctype}: h^1 slot")
             # generator exponential reproduces the closed-form series
@@ -232,17 +231,11 @@ def check_bracket_oracle(seed: int = 0) -> CheckResult:
             assign = holonomy.random_assignment(d, grp, rng)
             basis = holonomy.lie_basis(grp)
             direct = _bracket_direct_value(d, x, y, grp, assign, basis)
-            b = goldman.bracket_loops(d, x, y, grp, "alt")
-            worst = max(worst, abs(holonomy.eval_formal(b, assign, 0.0) - direct))
+            alt = holonomy.eval_formal(goldman.bracket_loops(d, x, y, grp, "alt"), assign, 0.0)
+            worst = max(worst, abs(alt - direct))
             if grp.orientation_free:
                 b2 = goldman.bracket_loops(d, x, y, grp, "reversal")
-                sl2_forms = max(
-                    sl2_forms,
-                    abs(
-                        holonomy.eval_formal(b, assign, 0.0)
-                        - holonomy.eval_formal(b2, assign, 0.0)
-                    ),
-                )
+                sl2_forms = max(sl2_forms, abs(alt - holonomy.eval_formal(b2, assign, 0.0)))
     passed = worst < 1e-9 and sl2_forms < 1e-10
     return CheckResult("bracket-oracle", passed, f"direct-sum residual {worst:.2e}, form gap {sl2_forms:.2e}")
 
@@ -284,11 +277,7 @@ def check_associativity(seed: int = 0) -> CheckResult:
     for k in range(3):
         for grp in (GroupSpec("su2"), GroupSpec("gln", 2)):
             d = random_diagram(rng, n_curves=3, max_pair_crossings=1, self_crossing_prob=0.2)
-            conv = grp.convention
-            u, v, w = (
-                FormalSum.of(monomial([canonical(d.loop_of(c).word, conv)]), order)
-                for c in d.curves
-            )
+            u, v, w = (FormalSum.of(monomial([d.loop_of(c)]), order) for c in d.curves)
             assign = holonomy.random_assignment(d, grp, rng)
             res = assoc_check(d, u, v, w, grp, order, assign=assign)
             sym_ok &= res.level_residual.is_zero()
@@ -329,10 +318,7 @@ def check_jacobi(seed: int = 0) -> CheckResult:
     for k in range(triples):
         grp = (GroupSpec("gln", 2), GroupSpec("su2"), GroupSpec("gln", 3))[k % 3]
         d = random_diagram(rng, n_curves=3, max_pair_crossings=2, self_crossing_prob=0.0)
-        conv = grp.convention
-        f, g, h = (
-            FormalSum.of(monomial([canonical(d.loop_of(c).word, conv)]), order) for c in d.curves
-        )
+        f, g, h = (FormalSum.of(monomial([d.loop_of(c)]), order) for c in d.curves)
         assign = holonomy.random_assignment(d, grp, rng)
         total = 0j
         for a, b, c in ((f, g, h), (g, h, f), (h, f, g)):

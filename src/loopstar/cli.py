@@ -32,8 +32,8 @@ from .coeff import (
 from .diagram import (
     DiagramError,
     FormalSum,
-    canonical,
     monomial,
+    monomial_text,
     parse_diagram,
 )
 # bench/tracer.py traces the term encoder under this name
@@ -44,10 +44,6 @@ from .star import StarError, expect_diagram, star
 
 class CliError(Exception):
     pass
-
-
-def _group_from_args(args) -> GroupSpec:
-    return GroupSpec(args.group, args.n)
 
 
 def _load_diagram(path: str):
@@ -61,12 +57,11 @@ def _load_diagram(path: str):
     return d
 
 
-def _split_factors(d, group: GroupSpec, order: int) -> tuple[FormalSum, FormalSum]:
-    conv = group.convention
+def _split_factors(d, order: int) -> tuple[FormalSum, FormalSum]:
     top = [cid for cid in d.curves if d.curves[cid].level > 0]
     bottom = [cid for cid in d.curves if d.curves[cid].level <= 0]
-    f = FormalSum.of(monomial(canonical(d.loop_of(c).word, conv) for c in top), order)
-    g = FormalSum.of(monomial(canonical(d.loop_of(c).word, conv) for c in bottom), order)
+    f = FormalSum.of(monomial(d.loop_of(c) for c in top), order)
+    g = FormalSum.of(monomial(d.loop_of(c) for c in bottom), order)
     return f, g
 
 
@@ -93,17 +88,10 @@ def _finite_at(beta: float, evaluate) -> tuple[complex, ...]:
     return values
 
 
-def _loop_str(loop) -> str:
-    return " ".join(a.id + ("" if dd == 1 else "~") for a, dd in loop.word)
-
-
 def _render_formal_sum_text(fs: FormalSum) -> str:
     if fs.is_zero():
         return "0\n"
-    rows = []
-    for m, c in fs:
-        mono = " * ".join(f"W({_loop_str(l)})" for l in m) if m else "1"
-        rows.append((mono, [str(x) for x in c.coeffs]))
+    rows = [(monomial_text(m), [str(x) for x in c.coeffs]) for m, c in fs]
     width = max(len(r[0]) for r in rows)
     lines = [f"{'monomial'.ljust(width)}  coefficients of h^0..h^{fs.order}"]
     for mono, cs in rows:
@@ -133,7 +121,7 @@ def _emit_formal_sum(fs: FormalSum, args, group: GroupSpec, d, operation: str):
 
 
 def _cmd_coeffs(args) -> int:
-    group = _group_from_args(args)
+    group = GroupSpec(args.group, args.n)
     order = args.order
     types = ["over", "under"] if args.type == "both" else [args.type]
     rows = []
@@ -170,25 +158,25 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
-    group = _group_from_args(args)
+    group = GroupSpec(args.group, args.n)
     d = _load_diagram(args.file)
-    f, g = _split_factors(d, group, args.order)
+    f, g = _split_factors(d, args.order)
     out = bracket_poly(d, f, g, group, form=args.form)
     _emit_formal_sum(out, args, group, d, "bracket")
     return 0
 
 
 def _cmd_star(args) -> int:
-    group = _group_from_args(args)
+    group = GroupSpec(args.group, args.n)
     d = _load_diagram(args.file)
-    f, g = _split_factors(d, group, args.order)
+    f, g = _split_factors(d, args.order)
     out = star(d, f, g, group, args.order)
     _emit_formal_sum(out, args, group, d, "star")
     return 0
 
 
 def _cmd_expect(args) -> int:
-    group = _group_from_args(args)
+    group = GroupSpec(args.group, args.n)
     d = _load_diagram(args.file)
     out = expect_diagram(d, group, args.order)
     _emit_formal_sum(out, args, group, d, "expect")

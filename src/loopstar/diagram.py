@@ -111,9 +111,12 @@ class Loop:
     def __len__(self):
         return len(self.word)
 
+    def __str__(self):
+        """Arc ids in word order, a reversed entry marked "~": "C.0 D.1~"."""
+        return " ".join(a.id if d == 1 else a.id + "~" for a, d in self.word)
+
     def __repr__(self):
-        parts = [(a.id if d == 1 else a.id + "~") for a, d in self.word]
-        return "Loop(" + " ".join(parts) + ")"
+        return f"Loop({self})"
 
 
 def reverse_word(word: Iterable[WordEntry]) -> tuple[WordEntry, ...]:
@@ -174,8 +177,9 @@ def monomial(loops: Iterable[Loop]) -> Monomial:
     return tuple(sorted(loops, key=lambda l: l.key()))
 
 
-def canonicalize(m: Monomial, convention: str = "oriented") -> Monomial:
-    return monomial(canonical(l.word, convention) for l in m)
+def monomial_text(m: Monomial) -> str:
+    """"W(C.0) * W(D.1~)", or "1" for the empty monomial."""
+    return " * ".join(f"W({l})" for l in m) if m else "1"
 
 
 class FormalSum:
@@ -203,9 +207,13 @@ class FormalSum:
         return cls({m: SeriesCoeff.one(order)}, order=order)
 
     def add_term(self, m: Monomial, c) -> None:
+        """Add c to the coefficient of m; a series of another order raises
+        CoeffError, as SeriesCoeff addition does."""
         if isinstance(c, (int, Fraction)):
             c = SeriesCoeff.constant(c, self.order)
         cur = self.terms.get(m)
+        if cur is None and c.order != self.order:
+            raise CoeffError(f"a term of order {c.order} in a sum of order {self.order}")
         tot = c if cur is None else cur + c
         if tot.is_zero():
             self.terms.pop(m, None)
@@ -231,11 +239,11 @@ class FormalSum:
 
     def add_scaled(self, other: "FormalSum", c: SeriesCoeff) -> None:
         """self += c * other, in place; no products when c is one, and a
-        plain copy into an empty sum."""
+        plain copy into an empty sum of the same order."""
         if c.order != self.order or not c.is_one():
             for m, v in other.terms.items():
                 self.add_term(m, c * v)
-        elif not self.terms:
+        elif not self.terms and other.order == self.order:
             self.terms.update(other.terms)
         else:
             for m, v in other.terms.items():
@@ -343,9 +351,13 @@ class Diagram:
 
     def entry_end(self, e: WordEntry) -> tuple[str, int] | None:
         """Pass (point, slot) at which a directed word entry terminates;
-        None for the free arc of a pass-less curve."""
+        None for the free arc of a pass-less curve.  An arc that is not
+        one of the diagram's raises DiagramError."""
         arc, d = e
-        k = len(self.curves[arc.curve].passes)
+        curve = self.curves.get(arc.curve)
+        if curve is None or not 0 <= arc.index < max(len(curve.passes), 1):
+            raise DiagramError(f"arc {arc.id} is not an arc of the diagram")
+        k = len(curve.passes)
         if k == 0:
             return None
         pos = (arc.index + 1) % k if d == 1 else arc.index
@@ -354,7 +366,9 @@ class Diagram:
     # -- loops --------------------------------------------------------------
 
     def loop_of(self, curve_id: str) -> Loop:
-        """The curve itself as a forward loop."""
+        """The curve itself as a forward loop.  It is canonical under both
+        conventions: a forward word's least rotation is also less than any
+        rotation of its reversal, whose entries all sort after it."""
         return canonical((a, 1) for a in self.arcs_of(curve_id))
 
     def loop_gaps(self, loop: Loop) -> list[tuple[int, str, int, int]]:
@@ -367,27 +381,32 @@ class Diagram:
                 out.append((g, end[0], end[1], e[1]))
         return out
 
-    def crossings_between(self, x: Loop, y: Loop) -> list[tuple[str, int]]:
-        """Crossing points with one pass in x and the other in y, with the
-        effective sign for the ordered pair (x, y).
+    def crossing_sign(self, pid: str, d0: int, d1: int, slot0_first: bool) -> int:
+        """Sign of point pid for an ordered pair of strands through it, d0
+        and d1 being the directions of its slot-0 and slot-1 strands.
 
         The stored sign refers to the ordered (slot 0, slot 1) strands with
         forward traversal; a reversed strand flips the tangent, hence the
-        sign, as does swapping the strand order.
+        sign, as does reading the slot-1 strand first.  The bracket's eps
+        and the star product's over/under both read this one rule.
         """
+        eps = self.points[pid].sign * d0 * d1
+        return eps if slot0_first else -eps
+
+    def crossings_between(self, x: Loop, y: Loop) -> list[tuple[str, int]]:
+        """Crossing points with one pass in x and the other in y, with the
+        crossing sign for the ordered pair (x, y)."""
         if set(a for a, _ in x.word) & set(a for a, _ in y.word):
             raise TransversalityError("loops overlap (shared arcs)")
         gx = {(p, s): d for _, p, s, d in self.loop_gaps(x)}
         gy = {(p, s): d for _, p, s, d in self.loop_gaps(y)}
         out = []
         for pid in sorted(self.points):
-            passes = [(pid, 0), (pid, 1)]
-            for x_slot, y_slot in ((0, 1), (1, 0)):
-                if passes[x_slot] in gx and passes[y_slot] in gy:
-                    eps = self.points[pid].sign * gx[passes[x_slot]] * gy[passes[y_slot]]
-                    if x_slot == 1:
-                        eps = -eps
-                    out.append((pid, eps))
+            p0, p1 = (pid, 0), (pid, 1)
+            if p0 in gx and p1 in gy:
+                out.append((pid, self.crossing_sign(pid, gx[p0], gy[p1], True)))
+            if p1 in gx and p0 in gy:
+                out.append((pid, self.crossing_sign(pid, gy[p0], gx[p1], False)))
         return out
 
     def concat_at(self, x: Loop, y: Loop, point_id: str) -> Loop:

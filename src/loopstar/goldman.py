@@ -45,14 +45,16 @@ def bracket_sl2(
     d.require_valid()
     out = FormalSum.zero(order)
     conv = "unoriented"
-    for pid, eps in d.crossings_between(x, y):
+    crossings = d.crossings_between(x, y)
+    if crossings and form == "alt":
+        prod = monomial([canonical(x.word, conv), canonical(y.word, conv)])
+    for pid, eps in crossings:
         joined = canonical(d.concat_at(x, y, pid).word, conv)
         if form == "reversal":
             rev = canonical(d.concat_at(x, reverse(y), pid).word, conv)
             out.add_term(monomial([joined]), Fraction(eps, 2))
             out.add_term(monomial([rev]), Fraction(-eps, 2))
         else:
-            prod = monomial([canonical(x.word, conv), canonical(y.word, conv)])
             out.add_term(monomial([joined]), Fraction(eps))
             out.add_term(prod, Fraction(-eps, 2))
     return out
@@ -66,9 +68,9 @@ def bracket_loops(
     form: str = "alt",
     order: int = DEFAULT_ORDER,
 ) -> FormalSum:
-    if group.kind in ("gln", "un"):
-        return bracket_gln(d, x, y, order)
-    return bracket_sl2(d, x, y, form, order)
+    if group.orientation_free:
+        return bracket_sl2(d, x, y, form, order)
+    return bracket_gln(d, x, y, order)
 
 
 def bracket_poly(

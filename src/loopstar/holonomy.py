@@ -77,7 +77,6 @@ def sample_algebra(group: GroupSpec, rng: np.random.Generator, scale: float = 0.
 class LieBasis:
     """Basis {e_a} with Gram matrix g_ab = tr(e_a e_b) and its inverse."""
 
-    name: str
     basis: tuple[np.ndarray, ...]
     gram: np.ndarray
     gram_inv: np.ndarray
@@ -89,36 +88,32 @@ def _elementary(n: int, i: int, j: int) -> np.ndarray:
     return m
 
 
-def _build_basis(name: str, mats: list[np.ndarray]) -> LieBasis:
-    k = len(mats)
-    gram = np.array([[np.trace(a @ b) for b in mats] for a in mats])
-    if abs(np.linalg.det(gram)) < 1e-12:
-        raise HolonomyError(f"singular Gram matrix for basis {name}")
-    return LieBasis(name, tuple(mats), gram, np.linalg.inv(gram))
-
-
 def lie_basis(group: GroupSpec) -> LieBasis:
     kind, n = group.kind, group.n
     if kind == "su2":
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
         sz = np.array([[1, 0], [0, -1]], dtype=complex)
-        return _build_basis("su2", [1j * sx, 1j * sy, 1j * sz])
-    if kind in ("sl2r", "sl2c"):
+        mats = [1j * sx, 1j * sy, 1j * sz]
+    elif kind in ("sl2r", "sl2c"):
         h = np.array([[1, 0], [0, -1]], dtype=complex)
         e = np.array([[0, 1], [0, 0]], dtype=complex)
         f = np.array([[0, 0], [1, 0]], dtype=complex)
-        return _build_basis("sl2", [h, e, f])
-    if kind == "gln":
-        return _build_basis(f"gl{n}", [_elementary(n, i, j) for i in range(n) for j in range(n)])
-    if kind == "un":
+        mats = [h, e, f]
+    elif kind == "gln":
+        mats = [_elementary(n, i, j) for i in range(n) for j in range(n)]
+    elif kind == "un":
         mats = [1j * _elementary(n, k, k) for k in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 mats.append(_elementary(n, i, j) - _elementary(n, j, i))
                 mats.append(1j * (_elementary(n, i, j) + _elementary(n, j, i)))
-        return _build_basis(f"u{n}", mats)
-    raise HolonomyError(f"unsupported group kind {kind!r}")
+    else:
+        raise HolonomyError(f"unsupported group kind {kind!r}")
+    gram = np.array([[np.trace(a @ b) for b in mats] for a in mats])
+    if abs(np.linalg.det(gram)) < 1e-12:
+        raise HolonomyError(f"singular Gram matrix for {group}")
+    return LieBasis(tuple(mats), gram, np.linalg.inv(gram))
 
 
 def projection_pi(group: GroupSpec, u: np.ndarray) -> np.ndarray:
@@ -230,6 +225,15 @@ def eval_complex_sum(terms: dict[Monomial, complex], assign: HolonomyAssignment)
 # -- lattice functional-derivative check ----------------------------------------
 
 
+def _product(mats: list[np.ndarray], n: int) -> np.ndarray:
+    """mats[0] @ mats[1] @ ..., multiplied left to right from the n x n
+    identity."""
+    acc = np.eye(n, dtype=complex)
+    for m in mats:
+        acc = acc @ m
+    return acc
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring (Moler & Van Loan, SIAM
     Review 45, 2003): halve a s times until its 1-norm is at most 1/2, sum
@@ -278,9 +282,7 @@ def lattice_derivative_check(
     if direction == "interior":
         # base the insertion at lattice point j (start of segment j)
         j = n_segments // 2
-        hol_j = np.eye(group.n, dtype=complex)
-        for k in list(range(j, n_segments)) + list(range(0, j)):
-            hol_j = hol_j @ segs[k]
+        hol_j = _product(segs[j:] + segs[:j], group.n)
         worst = 0.0
         for e in basis:
             plus = np.trace(_expm(step * e) @ hol_j)
@@ -292,12 +294,8 @@ def lattice_derivative_check(
     # endpoint: symmetric box bump of total mass 1 centered at t=0; the
     # in-interval part covers [0, w] with density 1/(2w), total mass 1/2
     w = min(step, 0.5 * dt)
-    hol = np.eye(group.n, dtype=complex)
-    for m in segs:
-        hol = hol @ m
-    rest = np.eye(group.n, dtype=complex)
-    for m in segs[1:]:
-        rest = rest @ m
+    hol = _product(segs, group.n)
+    rest = _product(segs[1:], group.n)
     worst = 0.0
     for e in basis:
         head = _expm(fields[0] * w + (step / 2.0) * e) @ _expm(fields[0] * (dt - w))

@@ -103,12 +103,9 @@ class Stacked:
                         raise StarError(
                             f"active crossing {pid} inside one loop: level assignment bug"
                         )
-                    # stored sign is for forward (slot0, slot1) strands;
-                    # reversed traversal flips it, as does putting the
-                    # slot1 strand on top
-                    eps = d.points[pid].sign * d0 * d1
-                    eps_top_bottom = eps if l0 > l1 else -eps
-                    ctype = "over" if eps_top_bottom > 0 else "under"
+                    # the sign of the (top, bottom) strand pair
+                    eps = d.crossing_sign(pid, d0, d1, l0 > l1)
+                    ctype = "over" if eps > 0 else "under"
                     top, bottom = (c0, c1) if l0 > l1 else (c1, c0)
                     self.active.append(ActiveCrossing(pid, top, bottom, ctype))
         # entries of the doubled cells, cell c + n being cell c walked
@@ -394,7 +391,6 @@ def assoc_check(
     group: GroupSpec,
     order: int | None = None,
     assign=None,
-    betas: Sequence[float] = (0.01, 0.1, 0.5),
 ) -> AssocResult:
     """Associativity audit.
 
@@ -403,7 +399,8 @@ def assoc_check(
     coefficients only see the sign of level differences, so the difference
     of the two encodings must vanish identically.  The nested star products
     themselves are compared as formal sums too, and, when an assignment is
-    given, evaluated numerically through the closed-form coefficient path.
+    given, evaluated numerically through the closed-form coefficient path
+    at beta = 0.01, 0.1 and 0.5.
     """
     # local import: holonomy loads numpy, which the exact path never needs
     from .holonomy import eval_complex_sum
@@ -423,7 +420,7 @@ def assoc_check(
         def as_complex(fs: FormalSum, beta: float) -> dict[Monomial, complex]:
             return {m: c.eval_h(2.0 * beta) for m, c in fs.terms.items()}
 
-        for beta in betas:
+        for beta in (0.01, 0.1, 0.5):
             fu, fv, fw = as_complex(u, beta), as_complex(v, beta), as_complex(w, beta)
             left = star_complex(d, star_complex(d, fu, fv, group, beta), fw, group, beta)
             right = star_complex(d, fu, star_complex(d, fv, fw, group, beta), group, beta)

@@ -97,14 +97,13 @@ def test_criterion_02_poisson_limit_exact():
 
 def test_criterion_03_associativity():
     rng = np.random.default_rng(3003)
-    betas = (0.01, 0.1, 0.5)
     worst = 0.0
     for k in range(10):
         grp = (GroupSpec("su2"), GroupSpec("gln", 2), GroupSpec("sl2r"), GroupSpec("un", 2))[k % 4]
         d = random_diagram(rng, n_curves=3, max_pair_crossings=2, self_crossing_prob=0.2)
         u, v, w = (_factor(d, grp, c, order=5) for c in d.curves)
         assign = random_assignment(d, grp, rng)
-        res = assoc_check(d, u, v, w, grp, assign=assign, betas=betas)
+        res = assoc_check(d, u, v, w, grp, assign=assign)
         assert res.level_residual.is_zero()
         worst = max(worst, max(res.numeric.values()))
     assert worst < 1e-9

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from loopstar.coeff import GroupSpec, SeriesCoeff
+from loopstar.coeff import CoeffError, GroupSpec, SeriesCoeff
 from loopstar.diagram import (
     Arc,
     Diagram,
@@ -19,11 +19,11 @@ from loopstar.diagram import (
     FormalSum,
     TransversalityError,
     canonical,
-    canonicalize,
     formal_sum_from_json,
     formal_sum_to_json,
     Loop,
     monomial,
+    monomial_text,
     parse_diagram,
     render_diagram,
     reverse,
@@ -149,8 +149,8 @@ def test_canonicalize_idempotent():
         d = random_diagram(rng, n_curves=2)
         m = monomial(d.loop_of(c) for c in d.curves)
         for conv in ("oriented", "unoriented"):
-            once = canonicalize(m, conv)
-            assert canonicalize(once, conv) == once
+            once = monomial(canonical(l.word, conv) for l in m)
+            assert monomial(canonical(l.word, conv) for l in once) == once
 
 
 def test_forward_words_agree_across_conventions():
@@ -254,6 +254,15 @@ def test_free_loop():
     assert abs(eval_wilson(loop, A) - np.trace(A.matrices["C.0"])) < 1e-14
 
 
+def test_loop_and_monomial_text():
+    d = parse_diagram(ONE_CROSSING)
+    j = d.concat_at(d.loop_of("C"), reverse(d.loop_of("D")), "a")
+    assert str(j) == "C.0 D.0~"
+    assert repr(j) == "Loop(C.0 D.0~)"
+    assert monomial_text(monomial([d.loop_of("D"), j])) == "W(C.0 D.0~) * W(D.0)"
+    assert monomial_text(()) == "1"
+
+
 # -- formal sums -----------------------------------------------------------------
 
 
@@ -266,6 +275,28 @@ def test_formal_sum_merging_and_pruning():
     assert fs.terms[m] == SeriesCoeff.one(4)
     fs.add_term(m, -1)
     assert fs.is_zero()
+
+
+def test_a_sum_takes_no_term_of_another_order():
+    d = parse_diagram(ONE_CROSSING)
+    m1, m2 = monomial([d.loop_of("C")]), monomial([d.loop_of("D")])
+    with pytest.raises(CoeffError, match="order 8 in a sum of order 4"):
+        FormalSum.of(m1, 4) + FormalSum.of(m2, 8)
+    with pytest.raises(CoeffError):
+        FormalSum.of(m1, 4).add_term(m1, SeriesCoeff.one(8))
+    with pytest.raises(CoeffError):
+        FormalSum(order=4).add_term(m2, SeriesCoeff.one(8))
+
+
+def test_add_scaled_copies_only_a_sum_of_its_own_order():
+    d = parse_diagram(ONE_CROSSING)
+    m = monomial([d.loop_of("C")])
+    with pytest.raises(CoeffError):
+        FormalSum.zero(4).add_scaled(FormalSum.of(m, 8), SeriesCoeff.one(4))
+    out = FormalSum.zero(4)
+    out.add_scaled(FormalSum.of(m, 4), SeriesCoeff.one(4))
+    assert out == FormalSum.of(m, 4)
+    assert formal_sum_from_json(formal_sum_to_json(out)) == out
 
 
 def test_formal_sum_slot():

@@ -1,5 +1,7 @@
 """Star product and expectation functional tests."""
 
+import re
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -14,6 +16,7 @@ from loopstar.coeff import (
     kauffman_coeffs,
 )
 from loopstar.diagram import (
+    Arc,
     DiagramError,
     FormalSum,
     TransversalityError,
@@ -280,6 +283,35 @@ def test_invalid_diagram_is_rejected_at_every_entry_point():
                 call()
 
 
+@pytest.mark.parametrize("arc", [Arc("C", 5), Arc("Z", 0)], ids=["index-past-the-curve", "unknown-curve"])
+def test_an_arc_the_diagram_lacks_is_rejected_at_every_entry_point(arc):
+    """C has one arc and there is no curve Z: a loop through C.5 or Z.0 is
+    not a loop of the diagram, and no entry point may read it as C.0 or
+    fail with a KeyError.  (A star_complex factor of no terms reaches no
+    loop, so that call is left out.)"""
+    su2, gl2 = GroupSpec("su2"), GroupSpec("gln", 2)
+    d = parse_diagram(ONE)
+    x, y = canonical([(arc, 1)], "unoriented"), d.loop_of("D")
+    f, g = FormalSum.of((x,), K), FormalSum.of((y,), K)
+    fc, gc = {(x,): 1 + 0j}, {(y,): 1 + 0j}
+    calls = [
+        lambda: star_loops(d, x, y, su2, K),
+        lambda: star(d, f, g, su2),
+        lambda: expect_loops(d, [(x, 1), (y, -1)], su2, K),
+        lambda: expect_values(d, [(x, 1), (y, -1)], su2, 0.1),
+        lambda: star_complex(d, fc, gc, su2, 0.1),
+        lambda: bracket_poly(d, f, g, su2),
+        lambda: bracket_loops(d, x, y, su2),
+        lambda: bracket_loops(d, x, y, gl2),
+        lambda: bracket_sl2(d, x, y, "reversal"),
+        lambda: bracket_gln(d, x, y),
+        lambda: unoriented_kauffman_resolution(d, [(x, 1), (y, -1)], su2, K),
+    ]
+    for call in calls:
+        with pytest.raises(DiagramError, match=re.escape(f"arc {arc.id} is not an arc")):
+            call()
+
+
 # -- poisson limit ----------------------------------------------------------------
 
 
@@ -357,7 +389,7 @@ def test_assoc_random_triples():
         d = random_diagram(rng, n_curves=3, max_pair_crossings=2, self_crossing_prob=0.2)
         u, v, w = (as_factor(d, grp, c, order=4) for c in d.curves)
         A = random_assignment(d, grp, rng)
-        res = assoc_check(d, u, v, w, grp, assign=A, betas=(0.01, 0.1, 0.5))
+        res = assoc_check(d, u, v, w, grp, assign=A)
         assert res.level_residual.is_zero()
         if not grp.orientation_free:
             assert res.nested_residual.is_zero()
