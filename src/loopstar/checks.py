@@ -101,15 +101,12 @@ def random_factors(
     return d, f, g
 
 
+# Two curves crossing twice with opposite signs: the slide-move configuration.
+R2_PAIR = "point p +\npoint q -\ncurve C level 1: p q\ncurve D level 0: q p\n"
+
+
 def r2_pair_diagram() -> Diagram:
-    """Two curves crossing twice with opposite signs: the slide-move
-    configuration."""
-    points = {"p": CrossingPoint("p", 1), "q": CrossingPoint("q", -1)}
-    curves = {
-        "C": Curve("C", ("p", "q"), 1),
-        "D": Curve("D", ("q", "p"), 0),
-    }
-    return Diagram(curves=curves, points=points)
+    return parse_diagram(R2_PAIR)
 
 
 FAMILIES = {
@@ -206,16 +203,11 @@ def check_trace_identities(seed: int = 0) -> CheckResult:
 
 def _bracket_direct_value(d, x, y, group, assign, basis):
     """Per-point functional-derivative sum: the bracket oracle."""
+    gx, gy = ({p: g for g, p, _, _ in d.loop_gaps(loop)} for loop in (x, y))
     total = 0j
     for pid, eps in d.crossings_between(x, y):
-        gx, _ = next(
-            ((g, dd) for g, p, s, dd in d.loop_gaps(x) if p == pid), (None, None)
-        )
-        gy, _ = next(
-            ((g, dd) for g, p, s, dd in d.loop_gaps(y) if p == pid), (None, None)
-        )
-        hx = holonomy.loop_matrix(x, assign, base_gap=gx)
-        hy = holonomy.loop_matrix(y, assign, base_gap=gy)
+        hx = holonomy.loop_matrix(x, assign, base_gap=gx[pid])
+        hy = holonomy.loop_matrix(y, assign, base_gap=gy[pid])
         total += eps * holonomy.gram_pairing(group, hx, hy, basis)
     return total
 
@@ -334,7 +326,7 @@ def check_kauffman(seed: int = 0) -> CheckResult:
     worst = 0.0
     texts = [
         "point a +\ncurve C level 1: a\ncurve D level 0: a\n",
-        "point p +\npoint q -\ncurve C level 1: p q\ncurve D level 0: q p\n",
+        R2_PAIR,
         "point p +\npoint q +\npoint r -\ncurve C level 1: p q r\ncurve D level 0: r q p\n",
     ]
     for text in texts:

@@ -22,6 +22,7 @@ import sys
 
 from .coeff import (
     DEFAULT_ORDER,
+    GROUP_KINDS,
     CoeffError,
     GroupSpec,
     HolonomyError,
@@ -38,7 +39,7 @@ from .diagram import (
 )
 # bench/tracer.py traces the term encoder under this name
 from .diagram import formal_sum_terms as _formal_sum_payload
-from .goldman import bracket_poly
+from .goldman import FORMS, bracket_poly
 from .star import StarError, expect_diagram, star
 
 
@@ -91,7 +92,7 @@ def _finite_at(beta: float, evaluate) -> tuple[complex, ...]:
 def _render_formal_sum_text(fs: FormalSum) -> str:
     if fs.is_zero():
         return "0\n"
-    rows = [(monomial_text(m), [str(x) for x in c.coeffs]) for m, c in fs]
+    rows = [(monomial_text(m), c.strings()) for m, c in fs]
     width = max(len(r[0]) for r in rows)
     lines = [f"{'monomial'.ljust(width)}  coefficients of h^0..h^{fs.order}"]
     for mono, cs in rows:
@@ -134,8 +135,8 @@ def _cmd_coeffs(args) -> int:
         tables = {}
         for t, cc, (vf, sf), at in rows:
             tables[t] = {
-                "virtual": [str(c) for c in cc.virtual.coeffs],
-                "smooth": [str(c) for c in cc.smooth.coeffs],
+                "virtual": cc.virtual.strings(),
+                "smooth": cc.smooth.strings(),
                 "closed_form": {"virtual": vf, "smooth": sf},
             }
             if at is not None:
@@ -149,8 +150,8 @@ def _cmd_coeffs(args) -> int:
     else:
         for t, cc, (vf, sf), at in rows:
             print(f"{group} {t}-crossing, order {order}")
-            print(f"  virtual: {' '.join(str(c) for c in cc.virtual.coeffs)}   = {vf}")
-            print(f"  smooth : {' '.join(str(c) for c in cc.smooth.coeffs)}   = {sf}")
+            print(f"  virtual: {' '.join(cc.virtual.strings())}   = {vf}")
+            print(f"  smooth : {' '.join(cc.smooth.strings())}   = {sf}")
             if at is not None:
                 v, s = at
                 print(f"  closed form at beta={args.eval_beta}: virtual={v.real!r}, smooth={s.real!r}")
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--group", choices=["su2", "sl2r", "sl2c", "gln", "un"], default="su2")
+    common.add_argument("--group", choices=GROUP_KINDS, default="su2")
     common.add_argument("--n", type=int, default=2, help="matrix size for gln/un")
     common.add_argument("--order", type=int, default=DEFAULT_ORDER, help="series truncation order K")
     common.add_argument("--format", choices=["json", "text"], default="json")
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_coeffs)
 
     p = sub.add_parser("bracket", parents=[common], help="Poisson bracket of the two level groups")
-    p.add_argument("--form", choices=["alt", "reversal"], default="alt")
+    p.add_argument("--form", choices=FORMS, default="alt")
     p.add_argument("file")
     p.set_defaults(fn=_cmd_bracket)
 

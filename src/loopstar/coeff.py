@@ -165,6 +165,10 @@ class SeriesCoeff:
 
     __rmul__ = __mul__
 
+    def strings(self) -> list[str]:
+        """The coefficients as p/q strings, the one place a series becomes text."""
+        return [str(c) for c in self.coeffs]
+
     def truncate(self, order: int) -> "SeriesCoeff":
         if order < 0:
             raise CoeffError("order must be >= 0")
@@ -233,9 +237,7 @@ class GroupSpec:
         return "unoriented" if self.orientation_free else "oriented"
 
     def __str__(self):
-        if self.kind in ("gln", "un"):
-            return f"{self.kind}({self.n})"
-        return self.kind
+        return self.kind if self.orientation_free else f"{self.kind}({self.n})"
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,7 @@ def _rates(group: GroupSpec) -> tuple[Fraction, Fraction]:
     """(c, f) = (n/2, framing rate); the framing rate alone tells the rank-2
     kinds (f = 0) from gl(n) and u(n) (f = n/2)."""
     c = Fraction(group.n, 2)
-    return c, Fraction(0) if group.kind in SL2_FAMILY else c
+    return c, Fraction(0) if group.orientation_free else c
 
 
 def _sign(ctype: str) -> int:

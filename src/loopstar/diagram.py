@@ -80,10 +80,6 @@ def entry_key(e: WordEntry):
     return (curve, index, 0 if d == 1 else 1)
 
 
-def _flip(e: WordEntry) -> WordEntry:
-    return (e[0], -e[1])
-
-
 @dataclass(frozen=True)
 class Loop:
     """Cyclic word of directed arcs; construct via canonical()."""
@@ -120,7 +116,7 @@ class Loop:
 
 
 def reverse_word(word: Iterable[WordEntry]) -> tuple[WordEntry, ...]:
-    return tuple(_flip(e) for e in reversed(tuple(word)))
+    return tuple((a, -d) for a, d in reversed(tuple(word)))
 
 
 def least_rotation(keys: list) -> int:
@@ -183,11 +179,15 @@ def monomial_text(m: Monomial) -> str:
 
 
 class FormalSum:
-    """Finite map Monomial -> SeriesCoeff; zero-coefficient entries pruned."""
+    """Finite map Monomial -> SeriesCoeff of one truncation order, an int
+    >= 0; zero-coefficient entries pruned.  Two sums are equal when their
+    orders and their terms are."""
 
     __slots__ = ("terms", "order")
 
     def __init__(self, terms: dict[Monomial, SeriesCoeff] | None = None, order: int = DEFAULT_ORDER):
+        if type(order) is not int or order < 0:
+            raise CoeffError(f"order must be an int >= 0, got {order!r}")
         self.order = order
         self.terms: dict[Monomial, SeriesCoeff] = {}
         if terms:
@@ -271,7 +271,7 @@ class FormalSum:
         return not self.terms
 
     def __eq__(self, other):
-        return isinstance(other, FormalSum) and self.terms == other.terms
+        return isinstance(other, FormalSum) and self.order == other.order and self.terms == other.terms
 
     def __iter__(self):
         return iter(sorted(self.terms.items(), key=lambda kv: tuple(l.key() for l in kv[0])))
@@ -415,16 +415,12 @@ class Diagram:
         Requires p to be an inter-loop crossing (one pass in each loop).
         The evaluation contract is tr(hol_{x,p} hol_{y,p}).
         """
-        slots = {}
-        for loop, tag in ((x, "x"), (y, "y")):
-            for g, p, s, _ in self.loop_gaps(loop):
-                if p == point_id:
-                    slots.setdefault(tag, []).append((s, g))
-        if len(slots.get("x", [])) != 1 or len(slots.get("y", [])) != 1:
+        gaps = [[g for g, p, _, _ in self.loop_gaps(loop) if p == point_id] for loop in (x, y)]
+        if [len(gs) for gs in gaps] != [1, 1]:
             raise TransversalityError(
                 f"point {point_id} is not an inter-loop crossing of the arguments"
             )
-        (_, gx), (_, gy) = slots["x"][0], slots["y"][0]
+        (gx,), (gy,) = gaps
         wx, wy = x.word, y.word
         rot_x = wx[gx + 1 :] + wx[: gx + 1]
         rot_y = wy[gy + 1 :] + wy[: gy + 1]
@@ -488,7 +484,7 @@ def formal_sum_terms(fs: FormalSum) -> list[dict]:
     and each loop as [arc id, "+"|"-"] pairs."""
     return [
         {
-            "coeff": [str(x) for x in c.coeffs],
+            "coeff": c.strings(),
             "monomial": [[[a.id, "+" if d == 1 else "-"] for a, d in l.word] for l in m],
         }
         for m, c in fs

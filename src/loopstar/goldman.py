@@ -14,12 +14,22 @@ from fractions import Fraction
 from .coeff import DEFAULT_ORDER, GroupSpec
 from .diagram import (
     Diagram,
+    DiagramError,
     FormalSum,
     Loop,
     canonical,
     monomial,
     reverse,
 )
+
+# The printed forms of the rank-2 bracket; gl(n)/u(n) have one bracket,
+# which every form names.
+FORMS = ("alt", "reversal")
+
+
+def _require_form(form: str) -> None:
+    if form not in FORMS:
+        raise DiagramError(f"form must be {' or '.join(map(repr, FORMS))}, got {form!r}")
 
 
 def bracket_gln(d: Diagram, x: Loop, y: Loop, order: int = DEFAULT_ORDER) -> FormalSum:
@@ -40,8 +50,7 @@ def bracket_sl2(
     reversal: (1/2) sum_i eps_i (W_{x *_i y} - W_{x *_i y-reversed})
     alt:      sum_i eps_i (W_{x *_i y} - (1/2) W_x W_y)
     """
-    if form not in ("alt", "reversal"):
-        raise ValueError(f"form must be 'alt' or 'reversal', got {form!r}")
+    _require_form(form)
     d.require_valid()
     out = FormalSum.zero(order)
     conv = "unoriented"
@@ -70,6 +79,7 @@ def bracket_loops(
 ) -> FormalSum:
     if group.orientation_free:
         return bracket_sl2(d, x, y, form, order)
+    _require_form(form)
     return bracket_gln(d, x, y, order)
 
 
@@ -87,6 +97,7 @@ def bracket_poly(
     pair is bracketed once per call."""
     if order is None:
         order = f.order
+    _require_form(form)
     d.require_valid()
     f, g = f.truncated(order), g.truncated(order)
     conv = group.convention

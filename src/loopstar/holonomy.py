@@ -53,14 +53,13 @@ def sample(group: GroupSpec, rng: np.random.Generator) -> np.ndarray:
             if abs(d) > 0.1:
                 break
         return m / np.sqrt(d)
-    if kind in ("un", "gln"):
-        z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2)
-        q, r = np.linalg.qr(z)
-        q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-        if kind == "un":
-            return q
-        return q @ np.diag(np.exp(0.3 * rng.normal(size=n)))
-    raise HolonomyError(f"unsupported group kind {kind!r}")
+    # gln, un
+    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+    if kind == "un":
+        return q
+    return q @ np.diag(np.exp(0.3 * rng.normal(size=n)))
 
 
 def sample_algebra(group: GroupSpec, rng: np.random.Generator, scale: float = 0.8) -> np.ndarray:
@@ -102,14 +101,12 @@ def lie_basis(group: GroupSpec) -> LieBasis:
         mats = [h, e, f]
     elif kind == "gln":
         mats = [_elementary(n, i, j) for i in range(n) for j in range(n)]
-    elif kind == "un":
+    else:  # un
         mats = [1j * _elementary(n, k, k) for k in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
                 mats.append(_elementary(n, i, j) - _elementary(n, j, i))
                 mats.append(1j * (_elementary(n, i, j) + _elementary(n, j, i)))
-    else:
-        raise HolonomyError(f"unsupported group kind {kind!r}")
     gram = np.array([[np.trace(a @ b) for b in mats] for a in mats])
     if abs(np.linalg.det(gram)) < 1e-12:
         raise HolonomyError(f"singular Gram matrix for {group}")
@@ -122,13 +119,11 @@ def projection_pi(group: GroupSpec, u: np.ndarray) -> np.ndarray:
     gln/un: identity (the basis complex-spans all of gl(n));
     su2: (U - U^-1)/2;  sl2r/sl2c: U - tr(U)/2 * I.
     """
-    if group.kind in ("gln", "un"):
+    if not group.orientation_free:
         return u
     if group.kind == "su2":
         return 0.5 * (u - np.linalg.inv(u))
-    if group.kind in ("sl2r", "sl2c"):
-        return u - 0.5 * np.trace(u) * np.eye(2)
-    raise HolonomyError(f"unsupported group kind {group.kind!r}")
+    return u - 0.5 * np.trace(u) * np.eye(2)
 
 
 def gram_pairing(group: GroupSpec, u: np.ndarray, v: np.ndarray, basis: LieBasis | None = None) -> complex:

@@ -74,9 +74,11 @@ class ActiveCrossing:
 
 class Stacked:
     """Cells, base successor map, and typed active crossings of a leveled
-    loop collection."""
+    loop collection.  Every state sum builds one, so the diagram is
+    validated here."""
 
     def __init__(self, d: Diagram, leveled: Sequence[tuple[Loop, int]]):
+        d.require_valid()
         self.leveled = list(leveled)
         self.cells: list[tuple[int, tuple]] = []  # (instance, word entry)
         self.succ: list[int] = []
@@ -263,7 +265,6 @@ def expect_loops(
     """State sum over resolutions of the active crossings, exact series
     coefficients.  resolution_order permutes the processing sequence; the
     result cannot depend on it (states are subsets of commuting swaps)."""
-    d.require_valid()
     st = Stacked(d, leveled)
     idxs = list(resolution_order) if resolution_order is not None else list(range(len(st.active)))
     if sorted(idxs) != list(range(len(st.active))):
@@ -271,7 +272,7 @@ def expect_loops(
     over = [st.active[i].ctype == "over" for i in idxs]
     table = _state_table(group, order, sum(over), len(over) - sum(over))
     swaps = [[(st.active[i].cell_top, st.active[i].cell_bottom)] for i in idxs]
-    unoriented = group.convention == "unoriented"
+    unoriented = group.orientation_free
     out = FormalSum.zero(order)
     for smoothed, succ in _states(st.succ, swaps, order):
         n_over = sum(compress(over, smoothed))
@@ -287,12 +288,11 @@ def expect_values(
 ) -> dict[Monomial, complex]:
     """Closed-form numeric state sum: exact hyperbolic coefficient values at
     the given coupling, symbolic monomials."""
-    d.require_valid()
     st = Stacked(d, leveled)
     vals = {t: closed_crossing_values(group, t, beta) for t in {a.ctype for a in st.active}}
     steps = [vals[a.ctype] for a in st.active]
     swaps = [[(a.cell_top, a.cell_bottom)] for a in st.active]
-    unoriented = group.convention == "unoriented"
+    unoriented = group.orientation_free
     out: dict[Monomial, complex] = {}
     for smoothed, succ in _states(st.succ, swaps):
         m = st.canonical_monomial(st.cycles(succ), unoriented)
@@ -474,7 +474,6 @@ def unoriented_kauffman_resolution(
     """
     if not group.orientation_free:
         raise StarError("unoriented resolution applies to the rank-2 groups only")
-    d.require_valid()
     st = Stacked(d, leveled)
     crossings = st.active[::-1]  # the walk counts with the first one last
     if len({ac.point for ac in crossings}) != len(crossings):

@@ -1,10 +1,12 @@
-"""Every function that the benchmark's tracer names must exist in loopstar.
+"""Every name that the benchmark reads off loopstar must exist there.
 
 bench/tracer.py wraps the functions listed in its LAYERS table and counts
 states through the state sums in STATE_SUMS, each named as
-"<module>.<attribute path>" inside the package.  A rename in loopstar would
-otherwise only show up when the benchmark runs.  The tracer's source is
-parsed, not imported, so nothing is written under bench/.
+"<module>.<attribute path>" inside the package.  bench/workloads.py calls
+the library through the names it imports from loopstar (`ls.star_loops`,
+`checks.SUITES`, ...).  A rename in loopstar would otherwise only show up
+when the benchmark runs.  Both sources are parsed, not imported, so nothing
+is written under bench/.
 """
 
 import ast
@@ -13,7 +15,9 @@ import pathlib
 
 import pytest
 
-TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
+WORKLOADS = BENCH / "workloads.py"
 
 
 def tracer_constant(name: str):
@@ -36,3 +40,39 @@ def test_traced_name_resolves(key):
     # methods are looked up in the class dict, as the tracer does
     fn = owner.__dict__.get(attrs[-1]) if isinstance(owner, type) else getattr(owner, attrs[-1], None)
     assert callable(fn), key
+
+
+def workload_names() -> list[str]:
+    """Every dotted attribute chain that workloads.py reads off a name it
+    imports from loopstar, as "<module>:<attribute path>"."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {}  # local name -> loopstar module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update({a.asname or a.name: a.name for a in node.names if a.name.startswith("loopstar")})
+        elif isinstance(node, ast.ImportFrom) and node.module == "loopstar":
+            modules.update({a.asname or a.name: f"loopstar.{a.name}" for a in node.names})
+    chains = set()
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in modules:
+            chains.add(f"{modules[node.id]}:{'.'.join(reversed(attrs))}")
+    return sorted(chains)
+
+
+def test_workloads_read_names_off_loopstar():
+    names = workload_names()
+    # the parse found the library calls: a renamed import would hide them all
+    assert "loopstar:star_loops" in names and "loopstar.checks:SUITES" in names
+
+
+@pytest.mark.parametrize("key", workload_names())
+def test_workload_name_resolves(key):
+    modname, path = key.split(":")
+    owner = importlib.import_module(modname)
+    for attr in path.split("."):
+        assert hasattr(owner, attr), key
+        owner = getattr(owner, attr)

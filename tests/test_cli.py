@@ -5,9 +5,10 @@ import pathlib
 
 import pytest
 
-from loopstar.cli import main
-from loopstar.coeff import DEFAULT_ORDER
+from loopstar.cli import build_parser, main
+from loopstar.coeff import DEFAULT_ORDER, GROUP_KINDS
 from loopstar.diagram import formal_sum_from_json
+from loopstar.goldman import FORMS
 
 DIAGRAMS = pathlib.Path(__file__).resolve().parent.parent / "diagrams"
 
@@ -186,3 +187,11 @@ def test_a_holonomy_error_under_eval_beta_is_a_domain_error(capsys, monkeypatch)
     code, out, err = run(capsys, "star", "--eval-beta", "0.01", str(DIAGRAMS / "one_crossing.ls"))
     assert code == 1 and out == ""
     assert err == "error: no matrix assigned\n"
+
+
+def test_group_and_form_choices_are_the_library_lists():
+    # argparse keeps the subparsers as the choices of its one subparsers action
+    (verbs,) = [a.choices for a in build_parser()._actions if isinstance(a.choices, dict)]
+    choices = {a.dest: a.choices for a in verbs["bracket"]._actions}
+    assert choices["group"] is GROUP_KINDS
+    assert choices["form"] is FORMS

@@ -493,3 +493,29 @@ def test_loop_pickled_in_another_process_is_found_by_hash():
         2, imports + f"table = {{Loop({WORD!r}): 'found'}}\n"
         "print(table.get(pickle.loads(sys.stdin.buffer.read()), 'missing'))\n", pickled)
     assert found.decode().strip() == "found"
+
+
+def test_formal_sums_of_different_orders_are_unequal():
+    # their JSON texts differ ("order": 4 vs 8), so equality must too
+    assert FormalSum.zero(4) != FormalSum.zero(8)
+    assert FormalSum.zero(4) == FormalSum.zero(4)
+
+
+@pytest.mark.parametrize("order", [-1, 2.5, True, "4", None])
+def test_formal_sum_order_must_be_an_int_at_least_zero(order):
+    with pytest.raises(CoeffError, match="order must be an int >= 0"):
+        FormalSum.zero(order)
+
+
+def test_a_negative_order_on_zero_factors_is_a_domain_error():
+    # the zero factors reach no state sum, yet a sum of order -1 would print
+    # JSON that formal_sum_from_json rejects
+    from loopstar.goldman import bracket_poly
+    from loopstar.star import star
+
+    d = parse_diagram(ONE_CROSSING)
+    su2 = GroupSpec("su2")
+    with pytest.raises(CoeffError):
+        star(d, FormalSum.zero(8), FormalSum.zero(8), su2, -1)
+    with pytest.raises(CoeffError):
+        bracket_poly(d, FormalSum.zero(8), FormalSum.zero(8), su2, order=-1)

@@ -1,7 +1,8 @@
 """Golden CLI outputs: the sha256 of stdout for star, expect and bracket on
 every corpus diagram, for su2 and gln(3), as JSON, with --eval-beta and as
-the text table, of the coefficient tables of both groups as JSON and as
-text, of `check all --seed 42` (every
+the text table, of the su2 bracket in the reversal form on every corpus
+diagram, of the coefficient tables of both groups as JSON and as text, with
+and without --eval-beta, of `check all --seed 42` (every
 verdict and printed residual), and of `check lattice` at seeds 0 and 7.  The digests were recorded from
 the Fraction-based series kernel, so any change to the exact arithmetic or
 to the float evaluation that alters a printed byte fails here.
@@ -34,6 +35,10 @@ def cases() -> dict[str, list[str]]:
     for gname, gargs in GROUPS.items():
         out[f"coeffs/{gname}"] = ["coeffs", *gargs]
         out[f"coeffs/{gname}/text"] = ["coeffs", *gargs, "--format", "text"]
+        out[f"coeffs/{gname}/eval"] = ["coeffs", *gargs, "--eval-beta", "0.3"]
+        out[f"coeffs/{gname}/eval/text"] = ["coeffs", *gargs, "--eval-beta", "0.3", "--format", "text"]
+    for path in sorted(DIAGRAMS.glob("*.ls")):
+        out[f"bracket/su2/{path.stem}/reversal"] = ["bracket", *GROUPS["su2"], "--form", "reversal", str(path)]
     out["check/all/seed42"] = ["check", "all", "--seed", "42"]
     for seed in (0, 7):
         out[f"check/lattice/seed{seed}"] = ["check", "lattice", "--seed", str(seed)]
@@ -163,8 +168,18 @@ GOLDEN = {
     "bracket/gln3/two_crossing/text": (0, 'daff64f83938f840'),
     "coeffs/su2": (0, '469f7109d675d06d'),
     "coeffs/su2/text": (0, 'b77c087991c35092'),
+    "coeffs/su2/eval": (0, 'e04d929a743338a8'),
+    "coeffs/su2/eval/text": (0, '3c01833e6a1432d2'),
     "coeffs/gln3": (0, 'aebdbd74da45f1e8'),
     "coeffs/gln3/text": (0, '6d04580fff43ec89'),
+    "coeffs/gln3/eval": (0, '6978b5162df2a0b1'),
+    "coeffs/gln3/eval/text": (0, 'e639aea5489f5012'),
+    "bracket/su2/assoc_triple/reversal": (0, '647882458585923a'),
+    "bracket/su2/disjoint/reversal": (0, 'e20c55f4a2c59fbf'),
+    "bracket/su2/one_crossing/reversal": (0, '773b4c66b940bfe3'),
+    "bracket/su2/r2_pair/reversal": (0, '81d8d239024d5e64'),
+    "bracket/su2/self_crossing/reversal": (0, 'fb22d8a53c188870'),
+    "bracket/su2/two_crossing/reversal": (0, '6823e732abdf0d00'),
     "check/all/seed42": (0, '6d66e8a7aa4215ca'),
     "check/lattice/seed0": (0, 'de5205b8e5968d5a'),
     "check/lattice/seed7": (0, '99f94f720de695df'),

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from loopstar.coeff import GroupSpec
 from loopstar.diagram import (
+    DiagramError,
     FormalSum,
     TransversalityError,
     canonical,
@@ -180,3 +181,24 @@ curve E level 0: q r r
     # the concatenation C*D passes q once, so {C*D, E} has one crossing term
     joined = next(iter(inner.terms))
     assert len(d.crossings_between(joined[0], d.loop_of("E"))) == 1
+
+
+@pytest.mark.parametrize("group", [GroupSpec("su2"), GroupSpec("gln", 2)], ids=str)
+def test_a_form_outside_forms_is_a_domain_error(group):
+    # a domain error for every group, also where gl(n) has only one bracket
+    # and where the factors are zero and no loop pair is bracketed
+    d = parse_diagram(ONE)
+    x, y = d.loop_of("C"), d.loop_of("D")
+    f, g = FormalSum.of(monomial([x]), 4), FormalSum.of(monomial([y]), 4)
+    with pytest.raises(DiagramError, match="'alt' or 'reversal'"):
+        bracket_loops(d, x, y, group, "bogus", 4)
+    with pytest.raises(DiagramError):
+        bracket_poly(d, f, g, group, form="bogus")
+    with pytest.raises(DiagramError):
+        bracket_poly(d, FormalSum.zero(4), FormalSum.zero(4), group, form="bogus")
+
+
+def test_bracket_sl2_rejects_a_bogus_form_with_a_domain_error():
+    d = parse_diagram(ONE)
+    with pytest.raises(DiagramError):
+        bracket_sl2(d, d.loop_of("C"), d.loop_of("D"), "bogus")
