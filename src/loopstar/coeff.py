@@ -40,6 +40,13 @@ class HolonomyError(ValueError):
     CLI can catch it without importing numpy."""
 
 
+def check_order(order) -> None:
+    """The one truncation-order rule: raise CoeffError unless order is an
+    int (not a bool) >= 0."""
+    if type(order) is not int or order < 0:
+        raise CoeffError(f"order must be an int >= 0, got {order!r}")
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -63,8 +70,7 @@ class SeriesCoeff:
     def __init__(self, coeffs, order: int | None = None):
         cs = [_as_fraction(c) for c in coeffs]
         if order is not None:
-            if order < 0:
-                raise CoeffError("order must be >= 0")
+            check_order(order)
             cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
         elif not cs:
             raise CoeffError("empty coefficient list without explicit order")
@@ -170,8 +176,7 @@ class SeriesCoeff:
         return [str(c) for c in self.coeffs]
 
     def truncate(self, order: int) -> "SeriesCoeff":
-        if order < 0:
-            raise CoeffError("order must be >= 0")
+        check_order(order)
         num = self.num[: order + 1]
         return SeriesCoeff._reduced(num + (0,) * (order + 1 - len(num)), self.den)
 
@@ -266,8 +271,7 @@ def _sign(ctype: str) -> int:
 def series_hyperbolic(kind: str, delta, order: int) -> SeriesCoeff:
     """Truncated series of cosh(beta*sqrt(delta)) or sinh(beta*sqrt(delta))/sqrt(delta)
     in h, with beta = h/2."""
-    if order < 0:
-        raise CoeffError("order must be >= 0")
+    check_order(order)
     d = Fraction(delta)
     if d <= 0:
         raise CoeffError("delta must be positive")
@@ -287,6 +291,7 @@ def series_hyperbolic(kind: str, delta, order: int) -> SeriesCoeff:
 
 def exp_series(rate, order: int) -> SeriesCoeff:
     """Series of exp(rate*h) with exact rational rate."""
+    check_order(order)
     r = Fraction(rate)
     return SeriesCoeff([r**k / math.factorial(k) for k in range(order + 1)])
 
@@ -376,6 +381,7 @@ def exp_generator(group: GroupSpec, ctype: str = "over", order: int = DEFAULT_OR
 
 def exp_generator_matrix(group: GroupSpec, ctype: str = "over", order: int = DEFAULT_ORDER):
     """Full 2x2 series exponential exp(beta*M), entries as SeriesCoeff."""
+    check_order(order)
     m = derived_generator(group, ctype)
     cur = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     cols = [[[Fraction(0)] * (order + 1) for _ in range(2)] for _ in range(2)]

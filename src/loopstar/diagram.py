@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .coeff import CoeffError, SeriesCoeff, DEFAULT_ORDER
+from .coeff import CoeffError, SeriesCoeff, DEFAULT_ORDER, check_order
 
 
 class DiagramError(ValueError):
@@ -186,8 +186,7 @@ class FormalSum:
     __slots__ = ("terms", "order")
 
     def __init__(self, terms: dict[Monomial, SeriesCoeff] | None = None, order: int = DEFAULT_ORDER):
-        if type(order) is not int or order < 0:
-            raise CoeffError(f"order must be an int >= 0, got {order!r}")
+        check_order(order)
         self.order = order
         self.terms: dict[Monomial, SeriesCoeff] = {}
         if terms:
@@ -227,10 +226,7 @@ class FormalSum:
         return out
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
-        out = FormalSum(dict(self.terms), order=self.order)
-        for m, c in other.terms.items():
-            out.add_term(m, -c)
-        return out
+        return self + other.scale(-1)
 
     def scale(self, c) -> "FormalSum":
         if isinstance(c, (int, Fraction)):
@@ -299,9 +295,6 @@ class Diagram:
     points: dict[str, CrossingPoint] = field(default_factory=dict)
 
     def __post_init__(self):
-        self._index()
-
-    def _index(self):
         self._point_passes: dict[str, list[tuple[str, int]]] = {p: [] for p in self.points}
         self._pass_slot: dict[tuple[str, int], tuple[str, int]] = {}
         for c in self.curves.values():

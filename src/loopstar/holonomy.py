@@ -62,9 +62,8 @@ def sample(group: GroupSpec, rng: np.random.Generator) -> np.ndarray:
     return q @ np.diag(np.exp(0.3 * rng.normal(size=n)))
 
 
-def sample_algebra(group: GroupSpec, rng: np.random.Generator, scale: float = 0.8) -> np.ndarray:
-    """Random Lie-algebra element as a real combination of the fixed basis."""
-    basis = lie_basis(group).basis
+def sample_algebra(basis: tuple[np.ndarray, ...], rng: np.random.Generator, scale: float = 0.8) -> np.ndarray:
+    """Random Lie-algebra element as a real combination of the basis."""
     coeffs = rng.normal(size=len(basis)) * scale / math.sqrt(len(basis))
     return sum(c * e for c, e in zip(coeffs, basis))
 
@@ -171,11 +170,16 @@ def loop_matrix(loop: Loop, assign: HolonomyAssignment, base_gap: int | None = N
     if base_gap is not None:
         g = base_gap % len(word)
         word = word[g + 1 :] + word[: g + 1]
-    n = assign.group.n
+    mats = [assign.matrix(arc) if d == 1 else np.linalg.inv(assign.matrix(arc)) for arc, d in word]
+    return _product(mats, assign.group.n)
+
+
+def _product(mats: list[np.ndarray], n: int) -> np.ndarray:
+    """mats[0] @ mats[1] @ ..., multiplied left to right from the n x n
+    identity."""
     acc = np.eye(n, dtype=complex)
-    for arc, d in word:
-        m = assign.matrix(arc)
-        acc = acc @ (m if d == 1 else np.linalg.inv(m))
+    for m in mats:
+        acc = acc @ m
     return acc
 
 
@@ -220,15 +224,6 @@ def eval_complex_sum(terms: dict[Monomial, complex], assign: HolonomyAssignment)
 # -- lattice functional-derivative check ----------------------------------------
 
 
-def _product(mats: list[np.ndarray], n: int) -> np.ndarray:
-    """mats[0] @ mats[1] @ ..., multiplied left to right from the n x n
-    identity."""
-    acc = np.eye(n, dtype=complex)
-    for m in mats:
-        acc = acc @ m
-    return acc
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring (Moler & Van Loan, SIAM
     Review 45, 2003): halve a s times until its 1-norm is at most 1/2, sum
@@ -271,7 +266,7 @@ def lattice_derivative_check(
     rng = rng or np.random.default_rng(0)
     basis = lie_basis(group).basis
     dt = 1.0 / n_segments
-    fields = [sample_algebra(group, rng, scale=field_scale) for _ in range(n_segments)]
+    fields = [sample_algebra(basis, rng, scale=field_scale) for _ in range(n_segments)]
     segs = [_expm(a * dt) for a in fields]
 
     if direction == "interior":

@@ -82,17 +82,16 @@ class Stacked:
         self.leveled = list(leveled)
         self.cells: list[tuple[int, tuple]] = []  # (instance, word entry)
         self.succ: list[int] = []
+        by_pass: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
         for inst, (loop, _level) in enumerate(self.leveled):
             base = len(self.cells)
             m = len(loop.word)
             for i, e in enumerate(loop.word):
+                end = d.entry_end(e)
+                if end is not None:
+                    by_pass.setdefault(end, []).append((base + i, e[1], inst))
                 self.cells.append((inst, e))
                 self.succ.append(base + (i + 1) % m)
-        by_pass: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
-        for ci, (inst, e) in enumerate(self.cells):
-            end = d.entry_end(e)
-            if end is not None:
-                by_pass.setdefault(end, []).append((ci, e[1], inst))
         self.active: list[ActiveCrossing] = []
         for pid in sorted(d.points):
             for c0, d0, i0 in by_pass.get((pid, 0), []):
@@ -101,25 +100,18 @@ class Stacked:
                     l1 = self.leveled[i1][1]
                     if l0 == l1:
                         continue
-                    if i0 == i1:
-                        raise StarError(
-                            f"active crossing {pid} inside one loop: level assignment bug"
-                        )
                     # the sign of the (top, bottom) strand pair
                     eps = d.crossing_sign(pid, d0, d1, l0 > l1)
                     ctype = "over" if eps > 0 else "under"
                     top, bottom = (c0, c1) if l0 > l1 else (c1, c0)
                     self.active.append(ActiveCrossing(pid, top, bottom, ctype))
         # entries of the doubled cells, cell c + n being cell c walked
-        # backwards, and the entries of their reversals, with entry_key
-        # ranks: canonical forms compare ints, not key tuples
-        n = len(self.cells)
+        # backwards, with entry_key ranks: canonical forms compare ints,
+        # not key tuples
         fwd = [e for _, e in self.cells]
         self.entries = fwd + [(a, -dr) for a, dr in fwd]
-        self.flipped = self.entries[n:] + fwd
         ranks = {k: r for r, k in enumerate(sorted(set(map(entry_key, self.entries))))}
         self.keys = [ranks[entry_key(e)] for e in self.entries]
-        self.flipped_keys = self.keys[n:] + self.keys[:n]
         # per convention (oriented, unoriented), the (rank key, Loop) of
         # each cell cycle canonicalized so far, keyed by its cell sequence:
         # states share most of their cycles, so one state sum
@@ -144,21 +136,25 @@ class Stacked:
 
     def canonical_monomial(self, cycles: list[list[int]], unoriented: bool) -> Monomial:
         """monomial(canonical(word) for each cycle), from the cell ranks.
-        A cycle's cell sequence fixes its loop, since every cycle starts
-        at its first cell, so each distinct one is canonicalized once."""
+        The reversed loop walks the cycle backwards through the mirrored
+        cells, c + n mod 2n, which as an index into the 2n doubled cells is
+        c - n.  A cycle's cell sequence fixes its loop, since every cycle
+        starts at its first cell, so each distinct one is canonicalized
+        once."""
         memo = self._loops[unoriented]
+        keys = self.keys
+        n = len(self.cells)
         loops = []
         for cycle in cycles:
             cells = tuple(cycle)
             found = memo.get(cells)
             if found is None:
-                rev = cycle[::-1] if unoriented else None
                 start, flipped, key = least_form(
-                    list(map(self.keys.__getitem__, cycle)),
-                    list(map(self.flipped_keys.__getitem__, rev)) if unoriented else None,
+                    list(map(keys.__getitem__, cycle)),
+                    [keys[c - n] for c in reversed(cycle)] if unoriented else None,
                 )
-                seq, entries = (rev, self.flipped) if flipped else (cycle, self.entries)
-                word = tuple(map(entries.__getitem__, seq[start:] + seq[:start]))
+                seq = [c - n for c in reversed(cycle)] if flipped else cycle
+                word = tuple(map(self.entries.__getitem__, seq[start:] + seq[:start]))
                 found = memo[cells] = (key, Loop(word))
             loops.append(found)
         loops.sort(key=itemgetter(0))
@@ -289,8 +285,7 @@ def expect_values(
     """Closed-form numeric state sum: exact hyperbolic coefficient values at
     the given coupling, symbolic monomials."""
     st = Stacked(d, leveled)
-    vals = {t: closed_crossing_values(group, t, beta) for t in {a.ctype for a in st.active}}
-    steps = [vals[a.ctype] for a in st.active]
+    steps = [closed_crossing_values(group, a.ctype, beta) for a in st.active]
     swaps = [[(a.cell_top, a.cell_bottom)] for a in st.active]
     unoriented = group.orientation_free
     out: dict[Monomial, complex] = {}
@@ -368,12 +363,7 @@ def poisson_limit_check(
         order = f.order
     s = star(d, f, g, group, order)
     b = goldman.bracket_poly(d, f, g, group, form="alt", order=order)
-    residual = FormalSum.zero(order)
-    for m, c1 in s.slot(1).items():
-        residual.add_term(m, c1)
-    for m, c0 in b.slot(0).items():
-        residual.add_term(m, -c0)
-    return residual
+    return FormalSum(s.slot(1), order) - FormalSum(b.slot(0), order)
 
 
 @dataclass

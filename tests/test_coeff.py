@@ -7,6 +7,7 @@ the closed forms, never read back from the implementation.
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -431,3 +432,32 @@ def test_coefficient_outputs_match_golden():
     # recorded from the per-kind closed forms before they were derived from
     # (c, f); any changed table entry, string or float bit fails here
     assert coefficient_digest() == "b1461c1b21a684aa0c07ca15222c2d74eb218af4a71b4b6276673dddb5afc267"
+
+
+def _expect_loops_at(order):
+    from loopstar.diagram import parse_diagram
+    from loopstar.star import expect_loops
+
+    d = parse_diagram("point x +\ncurve C level 1: x\ncurve D level 0: x\n")
+    return expect_loops(d, [(d.loop_of("C"), 1), (d.loop_of("D"), -1)], GroupSpec("su2"), order)
+
+
+ORDER_TAKERS = {
+    "SeriesCoeff.zero": SeriesCoeff.zero,
+    "SeriesCoeff.truncate": lambda order: SeriesCoeff.one(4).truncate(order),
+    "crossing_coeffs": lambda order: crossing_coeffs(GroupSpec("su2"), "over", order),
+    "series_hyperbolic": lambda order: series_hyperbolic("cosh_scaled", 3, order),
+    "exp_series": lambda order: exp_series(1, order),
+    "exp_generator": lambda order: exp_generator(GroupSpec("su2"), "over", order),
+    "kauffman_coeffs": kauffman_coeffs,
+    "expect_loops": _expect_loops_at,
+}
+
+
+@pytest.mark.parametrize("order", [2.5, True, -1, "4"], ids=repr)
+@pytest.mark.parametrize("taker", sorted(ORDER_TAKERS))
+def test_one_order_rule_for_every_series_builder(taker, order):
+    """Every builder of a series refuses an order that is not an int >= 0
+    with the same CoeffError, a bool and a float included."""
+    with pytest.raises(CoeffError, match=rf"^order must be an int >= 0, got {re.escape(repr(order))}$"):
+        ORDER_TAKERS[taker](order)

@@ -1,8 +1,9 @@
-"""Fresh-interpreter runs of the demos and of the CLI: each demo exits 0,
-the CLI never loads scipy, which only the tests and one demo use, and the
-exact verbs never load numpy, which only the holonomy oracle uses; plus the
-package's lazy holonomy names."""
+"""Fresh-interpreter runs of the demos and of the CLI: each demo exits 0
+with its recorded stdout, the CLI never loads scipy, which only the tests
+and one demo use, and the exact verbs never load numpy, which only the
+holonomy oracle uses; plus the package's lazy holonomy names."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -19,10 +20,22 @@ def python(*args):
     return subprocess.run([sys.executable, *args], env=ENV, capture_output=True, text=True, timeout=300)
 
 
+# sha256 of each demo's stdout.  The demos print exact series and seeded
+# numeric values, so a refactor that keeps the outputs keeps these digests.
+DEMO_STDOUT_SHA256 = {
+    "demo_crossing_coefficients": "ed2fc9df0302cb5e5fbbf50715581219e36b559c577bb4277c8ed64c5417723b",
+    "demo_goldman_bracket": "a8a545234cec2e4804dbd6f67cbbea0f659ef8ac3773ad6b50d749cae3d9a2d2",
+    "demo_holonomy_oracle": "d9a958acae46a1a6ba83e4719dfad067d751825bdf44f85c8c88e05e1c317418",
+    "demo_star_product": "ccb7262180d3810bff5f83a81f91c3c6585ad374faa0fb4d7e5f18eba9a4ac9c",
+    "demo_unoriented_and_r2": "fdb985f80a21d260a6c085348c0b4be1fc4d1ed1d635fbe9fd829147eec3da6f",
+}
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
 def test_demo_runs(demo):
     proc = python(str(demo))
     assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256.get(demo.stem)
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -16,7 +16,15 @@ from hypothesis import strategies as st
 
 from loopstar.coeff import CrossingCoeffs, GroupSpec, SeriesCoeff, closed_crossing_values, crossing_coeffs
 from loopstar.diagram import Arc, canonical, entry_key, monomial, parse_diagram, reverse, reverse_word
-from loopstar.star import Stacked, StarError, _state_table, _states, expect_loops, expect_values
+from loopstar.star import (
+    Stacked,
+    StarError,
+    _state_table,
+    _states,
+    expect_loops,
+    expect_values,
+    unoriented_kauffman_resolution,
+)
 from loopstar.checks import random_diagram
 
 star_module = importlib.import_module("loopstar.star")  # the package exports star()
@@ -117,6 +125,48 @@ def test_canonical_monomial_memo_matches_fresh_canonical_forms(stack, group, rev
         x, y = (leveled[st_.cells[c][0]][0] for c in (a.cell_top, a.cell_bottom))
         for l in (d.concat_at(x, y, a.point), reverse(x)):
             assert hash(l) == hash((l.word,))
+
+
+def pairing_circles_of(d, leveled):
+    """The Stacked and the pairing circles of every state of the rank-2
+    two-smoothing resolution of leveled, as its walk produces them."""
+    recorded = []
+    walk = star_module._pairing_circles
+
+    def recording(st_, succ):
+        circles = walk(st_, succ)
+        recorded.append((st_, circles))
+        return circles
+
+    star_module._pairing_circles = recording
+    try:
+        unoriented_kauffman_resolution(d, leveled, GroupSpec("su2"), 0)
+    finally:
+        star_module._pairing_circles = walk
+    return recorded
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks(), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_mirrored_cells_give_the_unoriented_canonical_form(stack, reversed_):
+    """canonical_monomial(cycles, True) walks each cycle backwards through
+    the mirrored cells, c + n mod 2n.  On the cycles of every oriented state
+    (cells below n) and on the pairing circles of every two-smoothing state
+    (cells up to 2n) it must equal the unoriented canonical forms of the
+    cells' entries."""
+    d, leveled, _ = stack
+    leveled = [(reverse(l) if r else l, level) for (l, level), r in zip(leveled, reversed_)]
+    st_ = Stacked(d, leveled)
+    swaps = [[(a.cell_top, a.cell_bottom)] for a in st_.active]
+    states = [(st_, st_.cycles(succ)) for _, succ in _states(st_.succ, swaps)]
+    circles = pairing_circles_of(d, leveled)
+    n = len(st_.cells)
+    # a reversal smoothing walks into the mirrored cells
+    assert any(c >= n for _, cycles in circles for cycle in cycles for c in cycle) == bool(st_.active)
+    for owner, cycles in states + circles:
+        got = owner.canonical_monomial(cycles, True)
+        want = monomial(canonical([owner.entries[c] for c in cycle], "unoriented") for cycle in cycles)
+        assert got == want
 
 
 def two_curves(signs: str):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm  # the reference for _expm; scipy is a test-only dependency
 
+import loopstar.holonomy as holonomy
 from loopstar.coeff import GroupSpec, SeriesCoeff
 from loopstar.diagram import FormalSum, monomial, parse_diagram
 from loopstar.holonomy import (
@@ -201,3 +202,13 @@ def test_expm_of_zero_and_of_a_nilpotent():
     assert np.array_equal(_expm(e12), np.eye(2) + e12)
     gap, bound = _expm_gap(e12)
     assert gap <= bound
+
+
+@pytest.mark.parametrize("direction", ["interior", "endpoint"])
+def test_lattice_check_builds_one_lie_basis(monkeypatch, direction):
+    """The fields of every segment are drawn on the one basis that the
+    check builds, not on a basis rebuilt per segment."""
+    calls = []
+    monkeypatch.setattr(holonomy, "lie_basis", lambda group: calls.append(group) or lie_basis(group))
+    lattice_derivative_check(GroupSpec("su2"), 64, direction, 1e-4, np.random.default_rng(0))
+    assert calls == [GroupSpec("su2")]
