@@ -211,26 +211,27 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--order", type=int, default=DEFAULT_ORDER, help="series truncation order K")
     common.add_argument("--format", choices=["json", "text"], default="json")
     common.add_argument("--eval-beta", type=_finite_beta, default=None, dest="eval_beta")
-    common.add_argument("--seed", type=int, default=0)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("coeffs", parents=[common], help="print crossing coefficient tables")
     p.add_argument("--type", choices=["over", "under", "both"], default="both")
     p.set_defaults(fn=_cmd_coeffs)
 
-    p = sub.add_parser("bracket", parents=[common], help="Poisson bracket of the two level groups")
+    p = sub.add_parser("bracket", parents=[common, seeded], help="Poisson bracket of the two level groups")
     p.add_argument("--form", choices=FORMS, default="alt")
     p.add_argument("file")
     p.set_defaults(fn=_cmd_bracket)
 
-    p = sub.add_parser("star", parents=[common], help="star product of the two level groups")
+    p = sub.add_parser("star", parents=[common, seeded], help="star product of the two level groups")
     p.add_argument("file")
     p.set_defaults(fn=_cmd_star)
 
-    p = sub.add_parser("expect", parents=[common], help="stacked expectation of all curves")
+    p = sub.add_parser("expect", parents=[common, seeded], help="stacked expectation of all curves")
     p.add_argument("file")
     p.set_defaults(fn=_cmd_expect)
 
-    p = sub.add_parser("check", parents=[common], help="run property suites")
+    p = sub.add_parser("check", parents=[seeded], help="run property suites")
     p.add_argument("suite", nargs="?", default="all")
     p.set_defaults(fn=_cmd_check)
 

@@ -113,7 +113,7 @@ class SeriesCoeff:
 
     @classmethod
     def constant(cls, c, order: int = DEFAULT_ORDER) -> "SeriesCoeff":
-        return cls([Fraction(c)], order=order)
+        return cls([c], order=order)
 
     def __getitem__(self, k: int) -> Fraction:
         if 0 <= k < len(self.num):
@@ -272,7 +272,7 @@ def series_hyperbolic(kind: str, delta, order: int) -> SeriesCoeff:
     """Truncated series of cosh(beta*sqrt(delta)) or sinh(beta*sqrt(delta))/sqrt(delta)
     in h, with beta = h/2."""
     check_order(order)
-    d = Fraction(delta)
+    d = _as_fraction(delta)
     if d <= 0:
         raise CoeffError("delta must be positive")
     out = [Fraction(0)] * (order + 1)
@@ -292,7 +292,7 @@ def series_hyperbolic(kind: str, delta, order: int) -> SeriesCoeff:
 def exp_series(rate, order: int) -> SeriesCoeff:
     """Series of exp(rate*h) with exact rational rate."""
     check_order(order)
-    r = Fraction(rate)
+    r = _as_fraction(rate)
     return SeriesCoeff([r**k / math.factorial(k) for k in range(order + 1)])
 
 

@@ -86,7 +86,7 @@ class Loop:
 
     word: tuple[WordEntry, ...]
     # sort key of the word, filled on first use; not part of equality
-    _key: tuple | None = field(default=None, compare=False, repr=False)
+    _key: tuple | None = field(default=None, init=False, compare=False, repr=False)
     # hash((word,)), the hash a frozen dataclass computes, filled on first
     # use; string hashes are salted per process, so it is never pickled
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
@@ -155,9 +155,9 @@ def canonical(word: Iterable[WordEntry], convention: str = "oriented") -> Loop:
         rw = rkeys = None
     else:
         raise DiagramError(f"unknown convention {convention!r}")
-    start, flipped, key = least_form([entry_key(e) for e in w], rkeys)
+    start, flipped, _ = least_form([entry_key(e) for e in w], rkeys)
     seq = rw if flipped else w
-    return Loop(seq[start:] + seq[:start], tuple(key))
+    return Loop(seq[start:] + seq[:start])
 
 
 def reverse(loop: Loop) -> Loop:
@@ -196,10 +196,6 @@ class FormalSum:
     @classmethod
     def zero(cls, order: int = DEFAULT_ORDER) -> "FormalSum":
         return cls(order=order)
-
-    @classmethod
-    def unit(cls, order: int = DEFAULT_ORDER) -> "FormalSum":
-        return cls({(): SeriesCoeff.one(order)}, order=order)
 
     @classmethod
     def of(cls, m: Monomial, order: int = DEFAULT_ORDER) -> "FormalSum":
@@ -295,31 +291,33 @@ class Diagram:
     points: dict[str, CrossingPoint] = field(default_factory=dict)
 
     def __post_init__(self):
-        self._point_passes: dict[str, list[tuple[str, int]]] = {p: [] for p in self.points}
+        self._visits: dict[str, int] = dict.fromkeys(self.points, 0)
         self._pass_slot: dict[tuple[str, int], tuple[str, int]] = {}
         for c in self.curves.values():
             for pos, pid in enumerate(c.passes):
-                slot = len(self._point_passes.setdefault(pid, []))
-                self._point_passes[pid].append((c.id, pos))
+                slot = self._visits.get(pid, 0)
+                self._visits[pid] = slot + 1
                 self._pass_slot[(c.id, pos)] = (pid, slot)
         self._valid = False
 
     def validate(self) -> list[str]:
         """Transversality audit: every point visited exactly twice, all pass
-        references resolve, signs well-formed.  Empty list means ok."""
-        errors = []
+        references resolve, signs well-formed, each dict key its value's id.
+        Empty list means ok."""
+        errors = [f"curve key {k!r} holds curve {c.id!r}" for k, c in self.curves.items() if k != c.id]
+        errors += [f"point key {k!r} holds point {p.id!r}" for k, p in self.points.items() if k != p.id]
         for c in self.curves.values():
             for pid in c.passes:
                 if pid not in self.points:
                     errors.append(f"curve {c.id}: pass through undeclared point {pid}")
-        for pid, passes in self._point_passes.items():
+        for pid, visits in self._visits.items():
             if pid not in self.points:
                 continue
-            if len(passes) > 2:
-                errors.append(f"point {pid}: triple point ({len(passes)} passes)")
-            elif len(passes) == 1:
+            if visits > 2:
+                errors.append(f"point {pid}: triple point ({visits} passes)")
+            elif visits == 1:
                 errors.append(f"point {pid}: only one pass")
-            elif len(passes) == 0:
+            elif visits == 0:
                 errors.append(f"point {pid}: declared but never visited")
         return errors
 

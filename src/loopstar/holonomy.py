@@ -62,7 +62,7 @@ def sample(group: GroupSpec, rng: np.random.Generator) -> np.ndarray:
     return q @ np.diag(np.exp(0.3 * rng.normal(size=n)))
 
 
-def sample_algebra(basis: tuple[np.ndarray, ...], rng: np.random.Generator, scale: float = 0.8) -> np.ndarray:
+def sample_algebra(basis: tuple[np.ndarray, ...], rng: np.random.Generator, scale: float) -> np.ndarray:
     """Random Lie-algebra element as a real combination of the basis."""
     coeffs = rng.normal(size=len(basis)) * scale / math.sqrt(len(basis))
     return sum(c * e for c, e in zip(coeffs, basis))

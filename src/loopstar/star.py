@@ -79,11 +79,10 @@ class Stacked:
 
     def __init__(self, d: Diagram, leveled: Sequence[tuple[Loop, int]]):
         d.require_valid()
-        self.leveled = list(leveled)
         self.cells: list[tuple[int, tuple]] = []  # (instance, word entry)
         self.succ: list[int] = []
         by_pass: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
-        for inst, (loop, _level) in enumerate(self.leveled):
+        for inst, (loop, _level) in enumerate(leveled):
             base = len(self.cells)
             m = len(loop.word)
             for i, e in enumerate(loop.word):
@@ -96,8 +95,8 @@ class Stacked:
         for pid in sorted(d.points):
             for c0, d0, i0 in by_pass.get((pid, 0), []):
                 for c1, d1, i1 in by_pass.get((pid, 1), []):
-                    l0 = self.leveled[i0][1]
-                    l1 = self.leveled[i1][1]
+                    l0 = leveled[i0][1]
+                    l1 = leveled[i1][1]
                     if l0 == l1:
                         continue
                     # the sign of the (top, bottom) strand pair

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, determinism, output formats."""
 
+import argparse
 import json
 import pathlib
 
@@ -195,3 +196,32 @@ def test_group_and_form_choices_are_the_library_lists():
     choices = {a.dest: a.choices for a in verbs["bracket"]._actions}
     assert choices["group"] is GROUP_KINDS
     assert choices["form"] is FORMS
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "series", "--group", "su2"],
+    ["check", "series", "--n", "2"],
+    ["check", "series", "--order", "3"],
+    ["check", "series", "--format", "text"],
+    ["check", "series", "--eval-beta", "0.1"],
+    ["coeffs", "--seed", "1"],
+], ids=lambda v: f"{v[0]}{v[-2]}")
+def test_a_flag_the_verb_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_each_verb_takes_only_the_values_it_reads():
+    (verbs,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {verb: {a.dest for a in p._actions if a.dest != "help"} for verb, p in verbs.items()}
+    shared = {"group", "n", "order", "format", "eval_beta"}
+    assert dests == {
+        "coeffs": shared | {"type"},
+        "bracket": shared | {"seed", "form", "file"},
+        "star": shared | {"seed", "file"},
+        "expect": shared | {"seed", "file"},
+        "check": {"suite", "seed"},
+    }
+    assert sum(map(len, dests.values())) == 30

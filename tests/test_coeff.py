@@ -461,3 +461,20 @@ def test_one_order_rule_for_every_series_builder(taker, order):
     with the same CoeffError, a bool and a float included."""
     with pytest.raises(CoeffError, match=rf"^order must be an int >= 0, got {re.escape(repr(order))}$"):
         ORDER_TAKERS[taker](order)
+
+
+RATIONAL_TAKERS = {
+    "SeriesCoeff": lambda x: SeriesCoeff([x]),
+    "SeriesCoeff.constant": lambda x: SeriesCoeff.constant(x, 2),
+    "series_hyperbolic": lambda x: series_hyperbolic("cosh_scaled", x, 2),
+    "exp_series": lambda x: exp_series(x, 2),
+}
+
+
+@pytest.mark.parametrize("value", [0.1, 2.5, "1/2"], ids=repr)
+@pytest.mark.parametrize("taker", sorted(RATIONAL_TAKERS))
+def test_one_exact_rational_rule_for_every_series_builder(taker, value):
+    """Every builder of a series refuses a float or a string with the same
+    CoeffError, so no float's binary value, such as 0.1's, enters a series."""
+    with pytest.raises(CoeffError, match=rf"^expected exact rational, got {type(value).__name__}$"):
+        RATIONAL_TAKERS[taker](value)

@@ -14,11 +14,14 @@ from fractions import Fraction
 from loopstar.coeff import CoeffError, GroupSpec, SeriesCoeff
 from loopstar.diagram import (
     Arc,
+    CrossingPoint,
+    Curve,
     Diagram,
     DiagramError,
     FormalSum,
     TransversalityError,
     canonical,
+    entry_key,
     formal_sum_from_json,
     formal_sum_to_json,
     Loop,
@@ -85,6 +88,34 @@ def test_validate_dangling():
     assert any("undeclared" in e for e in d2.validate())
     d3 = parse_diagram("point a +\ncurve C level 0: a\n")
     assert any("only one pass" in e for e in d3.validate())
+
+
+def test_validate_lists_each_fault_in_order_from_visit_counts():
+    d = parse_diagram(
+        "point a +\npoint b -\npoint c +\n"
+        "curve C level 0: a b a zz\ncurve D level 1: a zz\n"
+    )
+    assert d.validate() == [
+        "curve C: pass through undeclared point zz",
+        "curve D: pass through undeclared point zz",
+        "point a: triple point (3 passes)",
+        "point b: only one pass",
+        "point c: declared but never visited",
+    ]
+    # only the number of passes through each point is kept
+    assert d._visits == {"a": 3, "b": 1, "c": 0, "zz": 2}
+
+
+def test_a_dict_key_that_is_not_its_values_id_is_invalid():
+    from loopstar.star import star_loops
+
+    d = Diagram(curves={"X": Curve("Y", ("p",)), "Z": Curve("Z", ("p",))},
+                points={"p": CrossingPoint("p", 1)})
+    assert d.validate() == ["curve key 'X' holds curve 'Y'"]
+    with pytest.raises(DiagramError, match="^curve key 'X' holds curve 'Y'$"):
+        star_loops(d, d.loop_of("X"), d.loop_of("Z"), GroupSpec("su2"), 2)
+    d = Diagram(curves={"C": Curve("C", ("p", "p"))}, points={"q": CrossingPoint("p", 1)})
+    assert d.validate()[0] == "point key 'q' holds point 'p'"
 
 
 def test_render_round_trip():
@@ -473,6 +504,13 @@ def test_loop_hash_is_the_hash_of_its_word():
     for loop in (x, y, canonical(reverse(x).word, "unoriented"), reverse(y), d.concat_at(x, y, "a")):
         assert hash(loop) == hash((loop.word,))
         assert hash(loop) == hash(Loop(loop.word))
+
+
+def test_loop_takes_no_sort_key():
+    with pytest.raises(TypeError):
+        Loop(WORD, tuple(map(entry_key, WORD)))
+    loop = canonical(WORD)
+    assert loop.key() == tuple(map(entry_key, loop.word))
 
 
 def test_pickled_loop_carries_no_hash():

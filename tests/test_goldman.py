@@ -134,7 +134,7 @@ def test_bracket_poly_leibniz_square():
 def test_bracket_with_constant_vanishes():
     d = parse_diagram(ONE)
     f = FormalSum.of(monomial([d.loop_of("C")]), 4)
-    one = FormalSum.unit(4)
+    one = FormalSum.of((), 4)
     assert bracket_poly(d, f, one, GroupSpec("gln", 2)).is_zero()
     assert bracket_poly(d, one, f, GroupSpec("su2")).is_zero()
 

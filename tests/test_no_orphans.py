@@ -1,20 +1,32 @@
 """No orphaned definitions: every top-level function and class of the
-package is used somewhere other than its own definition.
+package, and every method of its classes other than the dunders, is used
+somewhere other than its own definition.
 
 The package, the demos and the benchmark are parsed with ast, not imported.
 A use is a name, an attribute, an import alias or a value in a dict such as
-checks.SUITES (itself a name).  A use inside the definition it names, such
-as a recursive call, does not count, and neither does a use from the tests:
-a helper that only its tests call is dead code.
+checks.SUITES (itself a name); a method is used only when it is read as an
+attribute.  A use inside the definition it names, such as a recursive call,
+does not count, and neither does a use from the tests: a helper that only
+its tests call is dead code.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "loopstar"
 USERS = (PACKAGE, ROOT / "demos", ROOT / "bench")
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def attributes_read(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
 
 
 def used_names(node: ast.AST) -> set[str]:
@@ -37,12 +49,32 @@ def orphans(folders, package: pathlib.Path) -> tuple[int, list[str]]:
         for path in sorted(folder.glob("*.py")):
             for stmt in ast.parse(path.read_text(), str(path)).body:
                 owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
-                if owner and folder == package and not (owner.startswith("__") and owner.endswith("__")):
+                if owner and folder == package and not is_dunder(owner):
                     definitions.append((path, owner))
                 for name in used_names(stmt):
                     uses.setdefault(name, set()).add((path, owner))
     unused = [f"{path.name}:{name}" for path, name in definitions if not uses.get(name, set()) - {(path, name)}]
     return len(definitions), unused
+
+
+def orphaned_methods(folders, package: pathlib.Path) -> tuple[int, list[str]]:
+    """(number of methods, the unread ones as "file:Class.method"), over the
+    non-dunder methods of the top-level classes in package and the attribute
+    reads in folders.  Reads are matched by name, whatever the object."""
+    methods, reads = [], Counter()
+    for folder in folders:
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            reads += attributes_read(tree)
+            if folder != package:
+                continue
+            for cls in tree.body:
+                if isinstance(cls, ast.ClassDef):
+                    methods += [(path, cls.name, f) for f in cls.body
+                                if isinstance(f, FUNCTIONS) and not is_dunder(f.name)]
+    unread = [f"{path.name}:{cls}.{f.name}" for path, cls, f in methods
+              if reads[f.name] == attributes_read(f)[f.name]]
+    return len(methods), unread
 
 
 def test_every_definition_is_used_outside_itself():
@@ -62,3 +94,22 @@ def test_a_helper_used_only_by_itself_is_an_orphan(tmp_path):
     )
     (tmp_path / "user.py").write_text("from mod import exported\n")
     assert orphans([tmp_path], tmp_path) == (3, ["mod.py:helper"])
+
+
+def test_every_method_is_read_outside_itself():
+    count, unread = orphaned_methods(USERS, PACKAGE)
+    assert count > 30
+    assert unread == []
+
+
+def test_a_method_read_only_by_itself_is_an_orphan(tmp_path):
+    """A method that only calls itself is unread; one that another module
+    reads as an attribute is read, and a dunder is never counted."""
+    (tmp_path / "mod.py").write_text(
+        "class A:\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def again(self, n):\n        return self.again(n - 1) if n else 0\n"
+        "    def used(self):\n        return 1\n"
+    )
+    (tmp_path / "user.py").write_text("from mod import A\n\nA().used()\n")
+    assert orphaned_methods([tmp_path], tmp_path) == (2, ["mod.py:A.again"])

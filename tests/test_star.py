@@ -157,7 +157,7 @@ def test_star_unit():
     d = parse_diagram(ONE)
     su2 = GroupSpec("su2")
     f = as_factor(d, su2, "C")
-    one = FormalSum.unit(K)
+    one = FormalSum.of((), K)
     assert star(d, f, one, su2) == f
     assert star(d, one, f, su2) == f
 
@@ -374,7 +374,7 @@ def test_assoc_with_unit_reduces_to_star():
     d = parse_diagram(ONE)
     su2 = GroupSpec("su2")
     u, v = as_factor(d, su2, "C"), as_factor(d, su2, "D")
-    one = FormalSum.unit(K)
+    one = FormalSum.of((), K)
     s = star(d, u, v, su2)
     assert star(d, star(d, u, v, su2), one, su2) == s
     assert star(d, u, star(d, v, one, su2), su2) == s
