@@ -4,8 +4,10 @@ numeric oracle."""
 
 from .coeff import (
     DEFAULT_ORDER,
+    CoeffError,
     CrossingCoeffs,
     GroupSpec,
+    HolonomyError,
     SeriesCoeff,
     closed_crossing_values,
     crossing_coeffs,
@@ -34,6 +36,7 @@ from .diagram import (
 )
 from .goldman import bracket_gln, bracket_loops, bracket_poly, bracket_sl2
 from .star import (
+    StarError,
     assoc_check,
     expect_diagram,
     expect_loops,

@@ -48,9 +48,10 @@ def check_order(order) -> None:
 
 
 def _as_fraction(x) -> Fraction:
+    """The one exact-rational rule: a Fraction or an int, not a bool."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise CoeffError(f"expected exact rational, got {type(x).__name__}")
 
@@ -221,6 +222,8 @@ class GroupSpec:
     def __post_init__(self):
         if self.kind not in GROUP_KINDS:
             raise CoeffError(f"unsupported group kind {self.kind!r}")
+        if type(self.n) is not int:
+            raise CoeffError(f"matrix size must be an int, got {self.n!r}")
         if self.kind in SL2_FAMILY and self.n != 2:
             raise CoeffError(f"{self.kind} requires n=2")
         if self.n < 1:

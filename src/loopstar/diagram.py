@@ -488,6 +488,10 @@ def formal_sum_to_json(fs: FormalSum) -> str:
 
 _DIRECTIONS = {"+": 1, "-": -1}
 
+# a coefficient as SeriesCoeff.strings writes it, "p/q" or "p"; any other
+# JSON value goes to SeriesCoeff as it is, which accepts only a non-bool int
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def formal_sum_from_json(text: str, convention: str = "oriented") -> FormalSum:
     """Inverse of formal_sum_to_json.  Loops are canonicalized under the
@@ -496,9 +500,9 @@ def formal_sum_from_json(text: str, convention: str = "oriented") -> FormalSum:
     (text that is not JSON, no object, an order that is not an int >= 0,
     "terms" that is not a list, a term that is not an object with a "coeff"
     list and a "monomial" list, a coefficient list without exactly order + 1
-    rationals, a loop word that is not a list, a word entry that is not
-    [arc id string, flag], an empty word, a bad flag or arc id, an unknown
-    convention) raises DiagramError."""
+    rationals, each a "p/q" string or a non-bool int, a loop word that is
+    not a list, a word entry that is not [arc id string, flag], an empty
+    word, a bad flag or arc id, an unknown convention) raises DiagramError."""
     try:
         data = json.loads(text)
     except ValueError as e:
@@ -520,8 +524,9 @@ def formal_sum_from_json(text: str, convention: str = "oriented") -> FormalSum:
         if len(coeffs) != order + 1:
             raise DiagramError(f"term {t}: {len(coeffs)} coefficients, expected order + 1 = {order + 1}")
         try:
-            coeffs = [Fraction(x) for x in coeffs]
-        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            coeff = SeriesCoeff([Fraction(x) if isinstance(x, str) and _RATIONAL.fullmatch(x) else x
+                                 for x in coeffs], order=order)
+        except (ValueError, ZeroDivisionError):  # CoeffError is a ValueError
             raise DiagramError(f"term {t}: coefficients {coeffs!r} are not all rationals") from None
         loops = []
         for w in item["monomial"]:
@@ -537,5 +542,5 @@ def formal_sum_from_json(text: str, convention: str = "oriented") -> FormalSum:
                     raise DiagramError(f"term {t}: direction flag {flag!r}, expected '+' or '-'")
                 word.append((Arc.from_id(aid), direction))
             loops.append(canonical(word, convention))
-        fs.add_term(monomial(loops), SeriesCoeff(coeffs, order=order))
+        fs.add_term(monomial(loops), coeff)
     return fs

@@ -8,12 +8,20 @@ profile is realizable by a smooth connection, so identities quantified over
 connections are tested by quantifying over assignments.
 
 Holonomy words multiply left to right along the path, so the transport of
-"x then y" is hol(x) @ hol(y).  Within one eval_formal or eval_complex_sum
-call each distinct loop's Wilson value is computed once.
+"x then y" is hol(x) @ hol(y).  One evaluation (eval_formal,
+eval_complex_sum, eval_monomial or eval_wilson) computes the Wilson values
+of all its distinct loops as one stacked product: each distinct (arc,
+direction) entry is one matrix of a stack whose row 0 is the identity (a
+reversed entry is inverted once), every word is left-padded with row 0 to
+the longest word's length, and one batched @ per word position multiplies
+all loops at once.  The identity times itself is exactly the identity and
+a stacked matmul computes each slice as a lone @ would, so every value has
+the bits of the per-loop product eye @ m0 @ m1 ... that loop_matrix forms.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -183,41 +191,52 @@ def _product(mats: list[np.ndarray], n: int) -> np.ndarray:
     return acc
 
 
+def _wilson_values(loops: list[Loop], assign: HolonomyAssignment) -> dict[Loop, complex]:
+    """Trace of the holonomy of each of the distinct loops, each one row of
+    one stacked product."""
+    if not loops:
+        return {}
+    rows: dict[tuple[Arc, int], int] = {}  # (arc, direction) -> stack row; row 0 is the identity
+    words = [[rows.setdefault(entry, len(rows) + 1) for entry in loop.word] for loop in loops]
+    eye = np.eye(assign.group.n, dtype=complex)
+    stack = np.array([eye] + [assign.matrix(arc) if d == 1 else np.linalg.inv(assign.matrix(arc))
+                              for arc, d in rows])
+    width = max(map(len, words))
+    acc = np.broadcast_to(eye, (len(words), *eye.shape))
+    for column in np.array([[0] * (width - len(w)) + w for w in words], dtype=np.intp).T:
+        acc = acc @ stack[column]
+    return dict(zip(loops, np.trace(acc, axis1=1, axis2=2).tolist()))
+
+
 def eval_wilson(loop: Loop, assign: HolonomyAssignment) -> complex:
     """Trace of the loop holonomy; independent of the starting point."""
-    return complex(np.trace(loop_matrix(loop, assign)))
+    return _wilson_values([loop], assign)[loop]
 
 
 def eval_monomial(m: Monomial, assign: HolonomyAssignment) -> complex:
-    return _monomial_value(m, assign, {})
-
-
-def _monomial_value(m: Monomial, assign: HolonomyAssignment, wilson: dict[Loop, complex]) -> complex:
-    """Product of the monomial's Wilson values, left to right from 1; a
-    loop's value is computed once and kept in wilson for the caller's call."""
-    out = 1.0 + 0j
-    for loop in m:
-        w = wilson.get(loop)
-        if w is None:
-            w = wilson[loop] = eval_wilson(loop, assign)
-        out *= w
-    return out
+    """Product of the monomial's Wilson values, left to right from 1."""
+    wilson = _wilson_values(list(dict.fromkeys(m)), assign)
+    return math.prod((wilson[loop] for loop in m), start=1.0 + 0j)
 
 
 def eval_formal(fs: FormalSum, assign: HolonomyAssignment, beta: float) -> complex:
     """Evaluate a formal sum: truncated-series coefficients at h = 2*beta
-    times the Wilson values of the monomials."""
+    times the Wilson values of the monomials.  A non-finite beta raises
+    HolonomyError."""
+    if not cmath.isfinite(beta):
+        raise HolonomyError(f"the coupling beta must be finite, got {beta!r}")
     h = 2.0 * beta
     return eval_complex_sum({m: c.eval_h(h) for m, c in fs.terms.items()}, assign)
 
 
 def eval_complex_sum(terms: dict[Monomial, complex], assign: HolonomyAssignment) -> complex:
     """Evaluate a monomial sum whose coefficients are already numbers (the
-    closed-form path)."""
-    wilson: dict[Loop, complex] = {}
+    closed-form path).  The terms are summed left to right from 0, each
+    monomial's value as eval_monomial forms it."""
+    wilson = _wilson_values(list(dict.fromkeys(loop for m in terms for loop in m)), assign)
     out = 0j
     for m, c in terms.items():
-        out += c * _monomial_value(m, assign, wilson)
+        out += c * math.prod((wilson[loop] for loop in m), start=1.0 + 0j)
     return out
 
 

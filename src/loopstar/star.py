@@ -32,6 +32,7 @@ smoothing joins head to head and tail to tail, two more swaps per crossing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, compress, product
@@ -62,6 +63,12 @@ from . import goldman
 
 class StarError(ValueError):
     pass
+
+
+def _check_coupling(beta: float) -> None:
+    """At a non-finite beta every closed-form value is NaN: a domain error."""
+    if not math.isfinite(beta):
+        raise StarError(f"the coupling beta must be finite, got {beta!r}")
 
 
 @dataclass(frozen=True)
@@ -282,7 +289,9 @@ def expect_values(
     beta: float,
 ) -> dict[Monomial, complex]:
     """Closed-form numeric state sum: exact hyperbolic coefficient values at
-    the given coupling, symbolic monomials."""
+    the given coupling, symbolic monomials.  A non-finite beta raises
+    StarError."""
+    _check_coupling(beta)
     st = Stacked(d, leveled)
     steps = [closed_crossing_values(group, a.ctype, beta) for a in st.active]
     swaps = [[(a.cell_top, a.cell_bottom)] for a in st.active]
@@ -328,7 +337,9 @@ def star_complex(
     beta: float,
 ) -> dict[Monomial, complex]:
     """Numeric star product on monomial sums with complex coefficients,
-    using the closed-form crossing values.  Supports nesting."""
+    using the closed-form crossing values.  Supports nesting.  A non-finite
+    beta raises StarError."""
+    _check_coupling(beta)
     d.require_valid()
     out: dict[Monomial, complex] = {}
     for leveled, c in _stackings((f, g), (1, -1)):

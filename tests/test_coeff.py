@@ -478,3 +478,21 @@ def test_one_exact_rational_rule_for_every_series_builder(taker, value):
     CoeffError, so no float's binary value, such as 0.1's, enters a series."""
     with pytest.raises(CoeffError, match=rf"^expected exact rational, got {type(value).__name__}$"):
         RATIONAL_TAKERS[taker](value)
+
+
+@pytest.mark.parametrize("value", [True, False], ids=repr)
+@pytest.mark.parametrize("taker", sorted(RATIONAL_TAKERS))
+def test_a_bool_is_not_an_exact_rational(taker, value):
+    """A bool is refused as the order rule refuses it, although it is an
+    int: SeriesCoeff([True]) is not the series 1."""
+    with pytest.raises(CoeffError, match=r"^expected exact rational, got bool$"):
+        RATIONAL_TAKERS[taker](value)
+
+
+@pytest.mark.parametrize("n", [True, 2.5, 2.0, "2"], ids=repr)
+@pytest.mark.parametrize("kind", ["gln", "un", "su2"])
+def test_group_spec_takes_an_int_matrix_size_only(kind, n):
+    """GroupSpec("gln", True) would print as gln(True), and 2.5 is no
+    matrix size."""
+    with pytest.raises(CoeffError, match=rf"^matrix size must be an int, got {re.escape(repr(n))}$"):
+        GroupSpec(kind, n)

@@ -428,6 +428,23 @@ def test_formal_sum_from_json_rejects_a_non_rational_coefficient():
         formal_sum_from_json(text)
 
 
+@pytest.mark.parametrize("coeff", [0.1, 1.0, True, False, None, "0.1", "1/2.0", " 1", "+1", "1/-2", "1/0", "\u0661"],
+                         ids=repr)
+def test_formal_sum_from_json_reads_exact_rationals_only(coeff):
+    """A coefficient is a "p/q" string or a non-bool int: a float such as
+    0.1 would load as its binary value and true as 1."""
+    text = json.dumps({"order": 0, "terms": [{"coeff": [coeff], "monomial": [[["C.0", "+"]]]}]})
+    with pytest.raises(DiagramError, match=r"term 0: coefficients .* are not all rationals"):
+        formal_sum_from_json(text)
+
+
+def test_formal_sum_from_json_reads_p_q_strings_and_ints():
+    d = parse_diagram(ONE_CROSSING)
+    terms = [{"coeff": ["-3/4", 2, "0", -5], "monomial": [[["C.0", "+"]]]}]
+    fs = formal_sum_from_json(json.dumps({"order": 3, "terms": terms}))
+    assert fs == FormalSum({monomial([d.loop_of("C")]): SeriesCoeff([Fraction(-3, 4), 2, 0, -5])}, order=3)
+
+
 def test_formal_sum_from_json_rejects_a_word_entry_without_a_flag():
     text = json.dumps({"order": 0, "terms": [{"coeff": ["1"], "monomial": [[["C.0"]]]}]})
     with pytest.raises(DiagramError, match=r"term 0: word entry \['C.0'\]"):

@@ -123,3 +123,22 @@ def test_holonomy_names_are_served_lazily():
     with pytest.raises(AttributeError, match=r"^module 'loopstar' has no attribute 'no_such_name'$"):
         loopstar.no_such_name
     assert loopstar.holonomy.HolonomyError is loopstar.coeff.HolonomyError
+
+
+def test_every_domain_error_is_exported_without_numpy():
+    """loopstar exports each domain error a public entry point raises, and
+    importing them loads no numpy: HolonomyError lives in loopstar.coeff."""
+    proc = python("-c", (
+        "import sys\n"
+        "import loopstar\n"
+        "from loopstar import CoeffError, DiagramError, HolonomyError, StarError, TransversalityError\n"
+        "import loopstar.coeff, loopstar.diagram\n"
+        "star = sys.modules['loopstar.star']\n"
+        "assert CoeffError is loopstar.coeff.CoeffError and HolonomyError is loopstar.coeff.HolonomyError\n"
+        "assert DiagramError is loopstar.diagram.DiagramError and StarError is star.StarError\n"
+        "assert TransversalityError is loopstar.diagram.TransversalityError\n"
+        "assert all(issubclass(e, ValueError) for e in (CoeffError, DiagramError, HolonomyError, StarError))\n"
+        "print('numpy' in sys.modules)\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,18 +1,25 @@
 """Numeric oracle tests: samplers, bases, Wilson evaluation, derivative
 lattice checks."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm  # the reference for _expm; scipy is a test-only dependency
 
 import loopstar.holonomy as holonomy
+from loopstar.checks import random_diagram
 from loopstar.coeff import GroupSpec, SeriesCoeff
-from loopstar.diagram import FormalSum, monomial, parse_diagram
+from loopstar.diagram import FormalSum, canonical, monomial, parse_diagram, reverse
+from loopstar.goldman import bracket_poly
 from loopstar.holonomy import (
     _expm,
+    _wilson_values,
     HolonomyAssignment,
     HolonomyError,
+    eval_complex_sum,
     eval_formal,
+    eval_monomial,
     eval_wilson,
     gram_pairing,
     lattice_derivative_check,
@@ -23,6 +30,7 @@ from loopstar.holonomy import (
     sample,
     verify_gram_identity,
 )
+from loopstar.star import star
 
 GROUPS = [GroupSpec("su2"), GroupSpec("sl2r"), GroupSpec("sl2c"),
           GroupSpec("gln", 2), GroupSpec("gln", 3), GroupSpec("un", 2), GroupSpec("un", 3)]
@@ -86,6 +94,74 @@ def test_eval_formal_linearity():
     missing = HolonomyAssignment(A.group, {})
     with pytest.raises(HolonomyError):
         eval_formal(single, missing, 0.0)
+
+
+BATCH_GROUPS = [GroupSpec("su2"), GroupSpec("sl2r"), GroupSpec("sl2c"), GroupSpec("gln", 1),
+                GroupSpec("gln", 2), GroupSpec("gln", 3), GroupSpec("gln", 4), GroupSpec("un", 2)]
+
+
+def per_loop(loop, assign) -> complex:
+    """The per-loop reference: trace of eye @ m0 @ m1 ... for this loop alone."""
+    return complex(np.trace(loop_matrix(loop, assign)))
+
+
+def batch_sums(group: GroupSpec, seed: int):
+    """A seeded 3-curve diagram, its assignment, and u*v, (u*v)*w and the
+    reversal-form bracket_poly(u*v, w) at K=3."""
+    rng = np.random.default_rng(seed)
+    d = random_diagram(rng, n_curves=3)
+    conv = group.convention
+    u, v, w = (FormalSum.of(monomial([canonical(d.loop_of(c).word, conv)]), 3) for c in d.curves)
+    uv = star(d, u, v, group, 3)
+    sums = (uv, star(d, uv, w, group, 3), bracket_poly(d, uv, w, group, "reversal"))
+    return d, random_assignment(d, group, rng), sums
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("group", BATCH_GROUPS, ids=str)
+def test_batch_wilson_values_equal_the_per_loop_product_bit_for_bit(group, seed):
+    """One stacked product over loops of many lengths, reversed entries
+    included, gives each loop exactly the per-loop value (==, not isclose),
+    and so does every evaluation built on it."""
+    d, assign, sums = batch_sums(group, seed)
+    loops = list(dict.fromkeys(loop for fs in sums for m in fs.terms for loop in m))
+    arcs = d.all_arcs()
+    loops = list(dict.fromkeys(loops + [reverse(loop) for loop in loops]
+                               + [canonical([(a, s)]) for a in arcs[:3] for s in (1, -1)]))
+    assert len({len(loop) for loop in loops}) >= 3  # padding is exercised
+    assert any(s == -1 for loop in loops for _, s in loop.word)  # so is inversion
+    values = _wilson_values(loops, assign)
+    assert list(values) == loops
+    for loop in loops:
+        assert values[loop] == per_loop(loop, assign), loop
+        assert eval_wilson(loop, assign) == per_loop(loop, assign), loop
+    for fs in sums:
+        numeric = {m: c.eval_h(2 * 0.05) for m, c in fs.terms.items()}
+        want = 0j
+        for m, c in numeric.items():
+            value = 1.0 + 0j
+            for loop in m:
+                value *= per_loop(loop, assign)
+            assert eval_monomial(m, assign) == value, m
+            want += c * value
+        assert eval_formal(fs, assign, 0.05) == want == eval_complex_sum(numeric, assign)
+
+
+def test_batch_of_the_empty_sum():
+    _, assign, _ = batch_sums(GroupSpec("su2"), 0)
+    assert _wilson_values([], assign) == {}
+    assert repr(eval_formal(FormalSum.zero(3), assign, 0.05)) == repr(0j)
+    assert repr(eval_complex_sum({}, assign)) == repr(0j)
+
+
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan], ids=repr)
+def test_eval_formal_refuses_a_non_finite_coupling(beta):
+    """At beta = inf or nan every value would be nan+nanj; it is a domain
+    error instead, the empty sum included."""
+    _, assign, (uv, *_) = batch_sums(GroupSpec("gln", 2), 0)
+    for fs in (uv, FormalSum.zero(3)):
+        with pytest.raises(HolonomyError, match="beta must be finite"):
+            eval_formal(fs, assign, beta)
 
 
 def test_projection_pi():

@@ -1,10 +1,11 @@
-"""Work done once per call: eval_formal and eval_complex_sum compute each
-distinct loop's matrix once, bracket_poly brackets each distinct loop
-pair once, and a state sum canonicalizes each distinct cell cycle once.
-Nothing computed for one call is reused by another.
+"""Work done once per call: eval_formal and eval_complex_sum evaluate
+their loops as one stacked product with one row per distinct loop,
+bracket_poly brackets each distinct loop pair once, and a state sum
+canonicalizes each distinct cell cycle once.  Nothing computed for one call
+is reused by another.
 
 The counters replace the module attributes that loopstar calls through at
-run time (holonomy.loop_matrix, goldman.bracket_loops, star.least_form,
+run time (holonomy._wilson_values, goldman.bracket_loops, star.least_form,
 Stacked.cycles), the way the benchmark's tracer rebinds them.
 """
 
@@ -79,11 +80,12 @@ def test_eval_formal_evaluates_each_distinct_loop_once_per_call(group, monkeypat
     loops = loops_of(uvw.terms)
     assert len(set(loops)) < len(loops)  # loops repeat, so the count is a real check
     assign = random_assignment(d, group, np.random.default_rng(1))
-    calls = counting(monkeypatch, holonomy, "loop_matrix")
+    calls = counting(monkeypatch, holonomy, "_wilson_values")
     for _ in range(2):
         calls.clear()
         eval_formal(uvw, assign, BETA)
-        assert Counter(args[0] for args in calls) == Counter(set(loops))
+        assert len(calls) == 1  # one batch per evaluation
+        assert Counter(calls[0][0]) == Counter(set(loops))  # one row per distinct loop
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=str)
@@ -93,11 +95,12 @@ def test_eval_complex_sum_evaluates_each_distinct_loop_once_per_call(group, monk
     loops = loops_of(closed)
     assert len(set(loops)) < len(loops)
     assign = random_assignment(d, group, np.random.default_rng(1))
-    calls = counting(monkeypatch, holonomy, "loop_matrix")
+    calls = counting(monkeypatch, holonomy, "_wilson_values")
     for _ in range(2):
         calls.clear()
         eval_complex_sum(closed, assign)
-        assert Counter(args[0] for args in calls) == Counter(set(loops))
+        assert len(calls) == 1  # one batch per evaluation
+        assert Counter(calls[0][0]) == Counter(set(loops))  # one row per distinct loop
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=str)

@@ -541,3 +541,20 @@ def test_star_complex_matches_series_at_small_coupling():
     numeric = eval_complex_sum(star_complex(d, f, g, su2, beta), A)
     series = eval_formal(star(d, as_factor(d, su2, "C"), as_factor(d, su2, "D"), su2), A, beta)
     assert abs(numeric - series) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [float("inf"), float("-inf"), float("nan")], ids=repr)
+def test_closed_form_paths_refuse_a_non_finite_coupling(beta):
+    """At beta = inf or nan every closed-form value would be nan+nanj;
+    expect_values and star_complex raise StarError instead, star_complex
+    also when a factor is empty and no state sum runs."""
+    d = parse_diagram(ONE)
+    su2 = GroupSpec("su2")
+    loops = [(d.loop_of(c), d.curves[c].level) for c in d.curves]
+    f = {monomial([d.loop_of("C")]): 1.0 + 0j}
+    g = {monomial([d.loop_of("D")]): 1.0 + 0j}
+    with pytest.raises(StarError, match="beta must be finite"):
+        expect_values(d, loops, su2, beta)
+    for right in (g, {}):
+        with pytest.raises(StarError, match="beta must be finite"):
+            star_complex(d, f, right, su2, beta)
