@@ -108,7 +108,7 @@ def _emit_formal_sum(fs: FormalSum, args, group: GroupSpec, d, operation: str):
         from .holonomy import eval_formal, random_assignment
 
         assign = random_assignment(d, group, np.random.default_rng(args.seed))
-        (value,) = _finite_at(args.eval_beta, lambda: (eval_formal(fs, assign, args.eval_beta),))
+        value = eval_formal(fs, assign, args.eval_beta)
         ev = {"beta": args.eval_beta, "seed": args.seed, "value": [value.real, value.imag]}
     if args.format == "json":
         payload = {"group": str(group), "order": fs.order, "terms": _formal_sum_payload(fs), "operation": operation}

@@ -178,8 +178,9 @@ class SeriesCoeff:
 
     def truncate(self, order: int) -> "SeriesCoeff":
         check_order(order)
-        num = self.num[: order + 1]
-        return SeriesCoeff._reduced(num + (0,) * (order + 1 - len(num)), self.den)
+        if order > self.order:
+            raise CoeffError(f"cannot extend a series of order {self.order} to order {order}")
+        return SeriesCoeff._reduced(self.num[: order + 1], self.den)
 
     def is_zero(self) -> bool:
         return not any(self.num)

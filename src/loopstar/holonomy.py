@@ -221,12 +221,15 @@ def eval_monomial(m: Monomial, assign: HolonomyAssignment) -> complex:
 
 def eval_formal(fs: FormalSum, assign: HolonomyAssignment, beta: float) -> complex:
     """Evaluate a formal sum: truncated-series coefficients at h = 2*beta
-    times the Wilson values of the monomials.  A non-finite beta raises
-    HolonomyError."""
+    times the Wilson values of the monomials.  A non-finite beta, or a value
+    that overflows a float, raises HolonomyError."""
     if not cmath.isfinite(beta):
         raise HolonomyError(f"the coupling beta must be finite, got {beta!r}")
     h = 2.0 * beta
-    return eval_complex_sum({m: c.eval_h(h) for m, c in fs.terms.items()}, assign)
+    value = eval_complex_sum({m: c.eval_h(h) for m, c in fs.terms.items()}, assign)
+    if not cmath.isfinite(value):
+        raise HolonomyError(f"the value at beta={beta!r} overflows a float")
+    return value
 
 
 def eval_complex_sum(terms: dict[Monomial, complex], assign: HolonomyAssignment) -> complex:

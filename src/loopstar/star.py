@@ -22,7 +22,9 @@ smoothings.  That is exact, not an approximation: the smoothing
 coefficient has no h^0 term, so a state with s smoothings has a
 coefficient of h-order at least s, and one with s > K truncates to zero.
 This h-filtration is what makes the Goldman bracket the classical limit of
-the product.  The closed-form numeric path visits every state.
+the product.  The closed-form numeric path visits every state.  One exact
+body serves the series and the two-smoothing sums, and both price a state
+from one count table, by its numbers of toggled over- and under-crossings.
 
 The rank-2 two-smoothing resolution walks doubled cells, cell c + n being
 cell c walked backwards.  It starts from every crossing at its compatible
@@ -32,10 +34,11 @@ smoothing joins head to head and tail to tail, two more swaps per crossing.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, compress, product
+from itertools import accumulate, combinations, compress, product
 from operator import itemgetter, mul
 from typing import Iterator, Mapping, Sequence
 
@@ -65,10 +68,12 @@ class StarError(ValueError):
     pass
 
 
-def _check_coupling(beta: float) -> None:
-    """At a non-finite beta every closed-form value is NaN: a domain error."""
+def _check_coupling(beta: float, values=()) -> None:
+    """A non-finite beta and a value that overflowed a float: domain errors."""
     if not math.isfinite(beta):
         raise StarError(f"the coupling beta must be finite, got {beta!r}")
+    if not all(map(cmath.isfinite, values)):
+        raise StarError(f"the value at beta={beta!r} overflows a float")
 
 
 @dataclass(frozen=True)
@@ -224,37 +229,44 @@ def _stacked_sum(
     return out
 
 
-@lru_cache(maxsize=256)
-def _state_table(
-    group: GroupSpec, order: int, n_over: int, n_under: int
-) -> tuple[tuple[SeriesCoeff, ...], ...]:
-    """State coefficients for n_over over- and n_under under-crossings.
+def _count_table(over_pair, under_pair, n_over: int, n_under: int, order: int, cut: int | None):
+    """State coefficients by toggled counts, each pair being a crossing
+    type's (untoggled, toggled) coefficients: table[i][j] is toggled^i *
+    untoggled^(n_over - i) of the over pair times the same of the under pair
+    with j and n_under.  With a cut, the rows stop at i + j <= cut."""
+    one = SeriesCoeff.one(order)
 
-    A state's coefficient depends only on how many crossings of each type
-    were smoothed: table[i][j] is smooth^i * virtual^(n_over - i) of the
-    over-crossing times the same of the under-crossing with j and n_under.
-    The walk cuts at order smoothings, so only i + j <= order is ever asked
-    for, and the rows stop there.  That cut is exact only while no
-    smoothing coefficient has an h^0 term, so one that has raises
-    StarError.  Cached per process; the tuples keep shared entries
-    immutable."""
+    def type_factors(pair, n: int) -> list[SeriesCoeff]:
+        """toggled^s * untoggled^(n - s) for s = 0..min(n, cut)."""
+        toggled = list(accumulate([pair[1]] * (n if cut is None else min(n, cut)), mul, initial=one))
+        untoggled = list(accumulate([pair[0]] * n, mul, initial=one))
+        return [t * untoggled[n - s] for s, t in enumerate(toggled)]
+
+    over, under = type_factors(over_pair, n_over), type_factors(under_pair, n_under)
+    return tuple(tuple(a * b for b in under[: None if cut is None else cut - i + 1]) for i, a in enumerate(over))
+
+
+@lru_cache(maxsize=256)
+def _state_table(group: GroupSpec, order: int, n_over: int, n_under: int) -> tuple[tuple[SeriesCoeff, ...], ...]:
+    """_count_table of the group's (virtual, smooth) pairs, cut at order
+    smoothings as the walk is.  The cut is exact only while no smoothing
+    coefficient has an h^0 term, so one that has raises StarError.  Cached
+    per process; the tuples keep shared entries immutable."""
     pairs = {t: crossing_coeffs(group, t, order) for t, n in (("over", n_over), ("under", n_under)) if n}
     if any(p.smooth[0] for p in pairs.values()):
         raise StarError(f"{group}: a smoothing coefficient has an h^0 term; the cut at K is not exact")
-    one = SeriesCoeff.one(order)
+    over, under = ((pairs[t].virtual, pairs[t].smooth) if t in pairs else (None, None) for t in ("over", "under"))
+    return _count_table(over, under, n_over, n_under, order, order)
 
-    def type_factors(t: str, n: int) -> list[SeriesCoeff]:
-        """smooth^s * virtual^(n - s) for s = 0..min(n, order)."""
-        top = min(n, order)
-        smooth, virtual = [one], [one]
-        for _ in range(top):
-            smooth.append(smooth[-1] * pairs[t].smooth)
-        for _ in range(n):
-            virtual.append(virtual[-1] * pairs[t].virtual)
-        return [smooth[s] * virtual[n - s] for s in range(top + 1)]
 
-    over, under = type_factors("over", n_over), type_factors("under", n_under)
-    return tuple(tuple(a * b for b in under[: order - i + 1]) for i, a in enumerate(over))
+def _exact_sum(st: Stacked, start, swaps, over, table, walk, unoriented: bool, order: int, cut=None) -> FormalSum:
+    """The exact state sum: each state's monomial, from the cycles walk(st,
+    succ) finds, times table[i][j], i and j its toggled over- and under-crossings."""
+    out = FormalSum.zero(order)
+    for toggled, succ in _states(start, swaps, cut):
+        i = sum(compress(over, toggled))
+        out.add_term(st.canonical_monomial(walk(st, succ), unoriented), table[i][sum(toggled) - i])
+    return out
 
 
 def expect_loops(
@@ -274,12 +286,7 @@ def expect_loops(
     over = [st.active[i].ctype == "over" for i in idxs]
     table = _state_table(group, order, sum(over), len(over) - sum(over))
     swaps = [[(st.active[i].cell_top, st.active[i].cell_bottom)] for i in idxs]
-    unoriented = group.orientation_free
-    out = FormalSum.zero(order)
-    for smoothed, succ in _states(st.succ, swaps, order):
-        n_over = sum(compress(over, smoothed))
-        out.add_term(st.canonical_monomial(st.cycles(succ), unoriented), table[n_over][sum(smoothed) - n_over])
-    return out
+    return _exact_sum(st, st.succ, swaps, over, table, Stacked.cycles, group.orientation_free, order, order)
 
 
 def expect_values(
@@ -289,11 +296,14 @@ def expect_values(
     beta: float,
 ) -> dict[Monomial, complex]:
     """Closed-form numeric state sum: exact hyperbolic coefficient values at
-    the given coupling, symbolic monomials.  A non-finite beta raises
-    StarError."""
+    the given coupling, symbolic monomials.  A non-finite beta, or a value
+    that overflows a float, raises StarError."""
     _check_coupling(beta)
     st = Stacked(d, leveled)
-    steps = [closed_crossing_values(group, a.ctype, beta) for a in st.active]
+    try:
+        steps = [closed_crossing_values(group, a.ctype, beta) for a in st.active]
+    except OverflowError:  # math.cosh and math.exp raise rather than return inf
+        raise StarError(f"the value at beta={beta!r} overflows a float") from None
     swaps = [[(a.cell_top, a.cell_bottom)] for a in st.active]
     unoriented = group.orientation_free
     out: dict[Monomial, complex] = {}
@@ -303,6 +313,7 @@ def expect_values(
         for (cv, cs), s in zip(steps, smoothed):
             coeff = coeff * (cs if s else cv)
         out[m] = out.get(m, 0j) + coeff
+    _check_coupling(beta, out.values())
     return out
 
 
@@ -338,25 +349,20 @@ def star_complex(
 ) -> dict[Monomial, complex]:
     """Numeric star product on monomial sums with complex coefficients,
     using the closed-form crossing values.  Supports nesting.  A non-finite
-    beta raises StarError."""
+    beta, or a value that overflows a float, raises StarError."""
     _check_coupling(beta)
     d.require_valid()
     out: dict[Monomial, complex] = {}
     for leveled, c in _stackings((f, g), (1, -1)):
         for mono, val in expect_values(d, leveled, group, beta).items():
             out[mono] = out.get(mono, 0j) + c * val
+    _check_coupling(beta, out.values())
     return out
 
 
 def star_loops(d: Diagram, x: Loop, y: Loop, group: GroupSpec, order: int = DEFAULT_ORDER) -> FormalSum:
-    conv = group.convention
-    return star(
-        d,
-        FormalSum.of(monomial([canonical(x.word, conv)]), order),
-        FormalSum.of(monomial([canonical(y.word, conv)]), order),
-        group,
-        order,
-    )
+    f, g = (FormalSum.of(monomial([canonical(l.word, group.convention)]), order) for l in (x, y))
+    return star(d, f, g, group, order)
 
 
 def poisson_limit_check(
@@ -490,13 +496,7 @@ def unoriented_kauffman_resolution(
         start[c0], start[c1], start[n + n0], start[n + n1] = n1, n0, n + c1, n + c0
         # reversal smoothing: head to head and tail to tail
         swaps.append([(c0, n + n0), (c1, n + n1)])
-    a, b = kauffman_coeffs(order)
     over = [ac.ctype == "over" for ac in crossings]
-    out = FormalSum.zero(order)
-    for flipped, succ in _states(start, swaps):
-        coeff = SeriesCoeff.one(order)
-        for f, o in zip(flipped, over):
-            # b: reversal smoothing of an over-, compatible one of an under-crossing
-            coeff = coeff * (b if f == o else a)
-        out.add_term(st.canonical_monomial(_pairing_circles(st, succ), True), coeff)
-    return out
+    a, b = kauffman_coeffs(order)
+    table = _count_table((a, b), (b, a), sum(over), len(over) - sum(over), order, None)
+    return _exact_sum(st, start, swaps, over, table, _pairing_circles, True, order)

@@ -107,8 +107,11 @@ def test_kernel_matches_naive_fraction_arithmetic(pair):
     assert_normalized(x - x, [0] * len(a))
     for k in range(-1, len(a) + 2):
         assert x[k] == (a[k] if 0 <= k < len(a) else 0)
-    for order in range(len(a) + 2):
-        assert_normalized(x.truncate(order), (a + [Fraction(0)] * order)[: order + 1])
+    for order in range(len(a)):
+        assert_normalized(x.truncate(order), a[: order + 1])
+    for order in (len(a), len(a) + 1):
+        with pytest.raises(CoeffError, match=f"^cannot extend a series of order {len(a) - 1} to order {order}$"):
+            x.truncate(order)
     assert (x == y) == (a == b)
 
 
@@ -375,6 +378,14 @@ def test_group_spec_invariants():
         GroupSpec("su2", 3)
     assert GroupSpec("sl2c").orientation_free
     assert not GroupSpec("un", 2).orientation_free
+
+
+def test_truncate_never_extends_a_series():
+    """Padding h^3..h^5 with zeros would claim terms the series never had."""
+    s = SeriesCoeff([1, Fraction(1, 2), 3], order=2)
+    assert s.truncate(2) == s
+    with pytest.raises(CoeffError, match=r"^cannot extend a series of order 2 to order 5$"):
+        s.truncate(5)
 
 
 def test_series_misc():

@@ -6,6 +6,7 @@ which the last property checks against the minimum over all rotations."""
 import cmath
 import importlib
 import random
+from functools import partial
 from itertools import product
 from math import comb
 
@@ -14,11 +15,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from loopstar.coeff import CrossingCoeffs, GroupSpec, SeriesCoeff, closed_crossing_values, crossing_coeffs
+from loopstar.coeff import (
+    CrossingCoeffs,
+    GroupSpec,
+    SeriesCoeff,
+    closed_crossing_values,
+    crossing_coeffs,
+    kauffman_coeffs,
+)
 from loopstar.diagram import Arc, canonical, entry_key, monomial, parse_diagram, reverse, reverse_word
 from loopstar.star import (
     Stacked,
     StarError,
+    _count_table,
     _state_table,
     _states,
     expect_loops,
@@ -215,6 +224,52 @@ def test_smoothing_with_an_h0_term_is_an_error(monkeypatch):
             expect_loops(d, leveled, GroupSpec("su2"), 3)
     finally:
         _state_table.cache_clear()
+
+
+def crossing_pairs(group, order):
+    """The group's (virtual, smooth) over and under pairs."""
+    return tuple((c.virtual, c.smooth) for c in (crossing_coeffs(group, t, order) for t in ("over", "under")))
+
+
+def kauffman_pairs(order):
+    """The two-smoothing pairs: a crossing starts at its compatible smoothing
+    (a over, b under) and toggles to its reversal smoothing."""
+    a, b = kauffman_coeffs(order)
+    return (a, b), (b, a)
+
+
+PAIR_SOURCES = {str(g): partial(crossing_pairs, g) for g in GROUPS + (GroupSpec("gln", 1), GroupSpec("gln", 2))}
+PAIR_SOURCES["kauffman"] = kauffman_pairs
+
+
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("source", sorted(PAIR_SOURCES))
+def test_count_table_matches_the_per_state_product(source, order):
+    """For every state of up to 5 over- and 5 under-crossings, in a shuffled
+    type order, table[i][j] of its toggled counts equals (==) the product of
+    its crossings' untoggled or toggled coefficients taken left to right,
+    uncut and cut at order; the cut rows stop at i + j <= order."""
+    over_pair, under_pair = PAIR_SOURCES[source](order)
+    rng = random.Random(order)
+    for n_over, n_under in product(range(6), repeat=2):
+        is_over = [True] * n_over + [False] * n_under
+        rng.shuffle(is_over)
+        tables = {cut: _count_table(over_pair, under_pair, n_over, n_under, order, cut) for cut in (None, order)}
+        # each state's product, folded left to right over its crossings
+        states = {(): SeriesCoeff.one(order)}
+        for o in is_over:
+            pair = over_pair if o else under_pair
+            states = {mask + (t,): c * pair[t] for mask, c in states.items() for t in (False, True)}
+        for mask, want in states.items():
+            i = sum(t for t, o in zip(mask, is_over) if o)
+            j = sum(mask) - i
+            assert tables[None][i][j] == want, (n_over, n_under, mask)
+            if i + j <= order:
+                assert tables[order][i][j] == want, (n_over, n_under, mask)
+        assert [len(row) for row in tables[None]] == [n_under + 1] * (n_over + 1)
+        assert [len(row) for row in tables[order]] == [
+            min(n_under, order - i) + 1 for i in range(min(n_over, order) + 1)
+        ]
 
 
 def test_series_path_visits_only_states_within_order(monkeypatch):

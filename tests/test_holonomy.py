@@ -164,6 +164,15 @@ def test_eval_formal_refuses_a_non_finite_coupling(beta):
             eval_formal(fs, assign, beta)
 
 
+@pytest.mark.parametrize("beta", [1e200, 1e308, -1e308], ids=repr)
+def test_eval_formal_refuses_a_float_overflow(beta):
+    """At a finite beta whose powers of h = 2*beta overflow, the series
+    values become inf and their sum nan+nanj; that is a domain error too."""
+    _, assign, (uv, *_) = batch_sums(GroupSpec("su2"), 0)
+    with pytest.raises(HolonomyError, match="overflows"):
+        eval_formal(uv, assign, beta)
+
+
 def test_projection_pi():
     rng = np.random.default_rng(11)
     gl3 = GroupSpec("gln", 3)

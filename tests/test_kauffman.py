@@ -3,15 +3,19 @@ against an end-pairing brute force, and its state count.
 
 The golden digests pin every term of unoriented_kauffman_resolution, exact
 numerators and denominator, in insertion order, on the corpus, on the three
-texts of check_kauffman and on seeded random stacks.  They were recorded
-from the resolution that paired strand ends in a dict per state, before it
-moved onto the shared state walker.  To re-record after an intended change:
+texts of check_kauffman, on seeded random stacks and on two-curve stacks
+with 10 and 12 crossings.  They were recorded from the resolution that
+paired strand ends in a dict per state, before it moved onto the shared
+state walker; the two-curve ones from the walker that multiplied one
+series per crossing per state, before the states were priced from a count
+table.  To re-record after an intended change:
     PYTHONPATH=src python -c "import tests.test_kauffman as t; t.print_table()"
 """
 
 import hashlib
 import importlib
 import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -45,6 +49,19 @@ def random_stack(seed: int):
     return d, [(d.loop_of(c), int(lv)) for c, lv in zip(d.curves, levels)]
 
 
+def two_curve_stack(seed: int, k: int):
+    """C above D, crossing k times with random signs, D passing the points
+    in a shuffled order: every crossing active."""
+    rng = random.Random(seed)
+    lines = [f"point x{j} {rng.choice('+-')}" for j in range(k)]
+    order = list(range(k))
+    rng.shuffle(order)
+    lines.append("curve C level 1: " + " ".join(f"x{j}" for j in range(k)))
+    lines.append("curve D level 0: " + " ".join(f"x{j}" for j in order))
+    d = parse_diagram("\n".join(lines) + "\n")
+    return d, declared_levels(d)
+
+
 def cases():
     """name -> (diagram, leveled, group, order)."""
     out = {}
@@ -59,6 +76,8 @@ def cases():
     for seed in range(30):
         d, leveled = random_stack(seed)
         out[f"random/{seed}"] = (d, leveled, RANK2[seed % 3], seed % 6)
+    for k, group, order in ((10, RANK2[0], 8), (12, RANK2[1], 10)):
+        out[f"two_curve/k{k}"] = (*two_curve_stack(k, k), group, order)
     return out
 
 
@@ -135,6 +154,8 @@ GOLDEN = {
     'random/27': '7f7454d3a57dccc9',
     'random/28': '8ec3e38726f150d5',
     'random/29': '5b49fdc2bd52a0be',
+    'two_curve/k10': '974d7e067cd044b9',
+    'two_curve/k12': 'de239293b86794e4',
 }
 
 

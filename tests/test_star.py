@@ -558,3 +558,23 @@ def test_closed_form_paths_refuse_a_non_finite_coupling(beta):
     for right in (g, {}):
         with pytest.raises(StarError, match="beta must be finite"):
             star_complex(d, f, right, su2, beta)
+
+
+@pytest.mark.parametrize("text, beta, coeff", [
+    (ONE, 1e3, 1.0),  # math.cosh raises OverflowError
+    ("point p +\npoint q +\npoint r -\ncurve C level 1: p q r\ncurve D level 0: r q p\n", 300.0, 1.0),
+    (ONE, 0.01, 1e200),  # finite states, the factor coefficients overflow
+], ids=["cosh", "state-product", "factor-product"])
+def test_closed_form_paths_refuse_a_float_overflow(text, beta, coeff):
+    """A float overflow at a finite beta, raised or left as inf or nan in a
+    value, is a StarError: never a bare OverflowError or a value that is not
+    finite."""
+    d = parse_diagram(text)
+    su2 = GroupSpec("su2")
+    f = {monomial([d.loop_of("C")]): coeff + 0j}
+    g = {monomial([d.loop_of("D")]): coeff + 0j}
+    with pytest.raises(StarError, match="overflows"):
+        star_complex(d, f, g, su2, beta)
+    if coeff == 1.0:
+        with pytest.raises(StarError, match="overflows"):
+            expect_values(d, [(d.loop_of(c), d.curves[c].level) for c in d.curves], su2, beta)
