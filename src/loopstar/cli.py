@@ -15,9 +15,7 @@ overflow under --eval-beta), 2 usage (a non-finite --eval-beta among them).
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
-import math
 import sys
 
 from .coeff import (
@@ -26,6 +24,7 @@ from .coeff import (
     CoeffError,
     GroupSpec,
     HolonomyError,
+    check_coupling,
     closed_crossing_values,
     closed_form_strings,
     crossing_coeffs,
@@ -67,26 +66,13 @@ def _split_factors(d, order: int) -> tuple[FormalSum, FormalSum]:
 
 
 def _finite_beta(text: str) -> float:
-    """--eval-beta: a finite float; inf and nan are usage errors."""
+    """--eval-beta: a finite float; inf, nan and non-numbers are usage errors."""
     try:
         beta = float(text)
     except ValueError:
-        beta = math.nan
-    if not math.isfinite(beta):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        beta = text
+    check_coupling(beta, error=argparse.ArgumentTypeError)
     return beta
-
-
-def _finite_at(beta: float, evaluate) -> tuple[complex, ...]:
-    """evaluate() -> complex values at beta.  A float overflow, raised or
-    left as inf/nan, is a domain error, so no NaN or Infinity is printed."""
-    try:
-        values = evaluate()
-    except OverflowError:
-        values = (complex(math.nan),)
-    if not all(cmath.isfinite(v) for v in values):
-        raise CliError(f"the value at beta={beta!r} overflows a float")
-    return values
 
 
 def _render_formal_sum_text(fs: FormalSum) -> str:
@@ -127,9 +113,7 @@ def _cmd_coeffs(args) -> int:
     types = ["over", "under"] if args.type == "both" else [args.type]
     rows = []
     for t in types:
-        at = None
-        if args.eval_beta is not None:
-            at = _finite_at(args.eval_beta, lambda: closed_crossing_values(group, t, args.eval_beta))
+        at = None if args.eval_beta is None else closed_crossing_values(group, t, args.eval_beta)
         rows.append((t, crossing_coeffs(group, t, order), closed_form_strings(group, t), at))
     if args.format == "json":
         tables = {}

@@ -18,6 +18,7 @@ a Fraction per slot; the Fraction view is built only when asked for.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,19 @@ def check_order(order) -> None:
     int (not a bool) >= 0."""
     if type(order) is not int or order < 0:
         raise CoeffError(f"order must be an int >= 0, got {order!r}")
+
+
+def check_coupling(beta, values=(), error=CoeffError) -> None:
+    """The one coupling rule: raise error unless beta is a finite real and
+    so is each of the values made from it."""
+    try:
+        finite = math.isfinite(beta)
+    except (TypeError, OverflowError):  # not a real, or an int no float can hold
+        finite = False
+    if not finite:
+        raise error(f"the coupling beta must be finite, got {beta!r}")
+    if not all(map(cmath.isfinite, values)):
+        raise error(f"the value at beta={beta!r} overflows a float")
 
 
 def _as_fraction(x) -> Fraction:
@@ -315,15 +329,22 @@ def closed_crossing_values(group: GroupSpec, ctype: str, beta: float) -> tuple[c
     """(virtual, smooth) from the exact hyperbolic closed forms.
 
     This path is authoritative for numeric oracles; the series path is its
-    truncation.
+    truncation.  A non-finite beta, or a value that overflows a float,
+    raises CoeffError.
     """
     sgn = _sign(ctype)
+    check_coupling(beta)
     c, f = _rates(group)
     rd = math.sqrt(float(group.delta))
-    ch = math.cosh(beta * rd)
-    sh = math.sinh(beta * rd) / rd
-    framing = math.exp(sgn * beta * float(f)) if f else 1.0  # not exp(inf * 0) at beta = inf
-    return complex(framing * (ch - sgn * float(c) * sh)), complex(framing * sgn * 2.0 * sh)
+    try:
+        ch = math.cosh(beta * rd)
+        sh = math.sinh(beta * rd) / rd
+        framing = math.exp(sgn * beta * float(f))
+        values = complex(framing * (ch - sgn * float(c) * sh)), complex(framing * sgn * 2.0 * sh)
+    except OverflowError:  # math.cosh and math.exp raise rather than return inf
+        values = (math.inf,)
+    check_coupling(beta, values)
+    return values
 
 
 def closed_form_strings(group: GroupSpec, ctype: str) -> tuple[str, str]:
@@ -357,7 +378,8 @@ def kauffman_coeffs(order: int = DEFAULT_ORDER) -> tuple[SeriesCoeff, SeriesCoef
 
 
 def kauffman_values(beta: float) -> tuple[complex, complex]:
-    """Closed-form (a, b) at a numeric beta."""
+    """Closed-form (a, b) at a numeric beta; raises CoeffError as
+    closed_crossing_values does."""
     su2 = GroupSpec("su2")
     return -closed_crossing_values(su2, "under", beta)[0], -closed_crossing_values(su2, "over", beta)[0]
 

@@ -302,10 +302,14 @@ class Diagram:
 
     def validate(self) -> list[str]:
         """Transversality audit: every point visited exactly twice, all pass
-        references resolve, signs well-formed, each dict key its value's id.
-        Empty list means ok."""
+        references resolve, signs well-formed, each dict key its value's id,
+        each level an int or a float that orders (not NaN).  Empty list
+        means ok."""
         errors = [f"curve key {k!r} holds curve {c.id!r}" for k, c in self.curves.items() if k != c.id]
         errors += [f"point key {k!r} holds point {p.id!r}" for k, p in self.points.items() if k != p.id]
+        # NaN is the one float that does not equal itself
+        errors += [f"curve {c.id}: level must be an int or a float other than NaN, got {c.level!r}"
+                   for c in self.curves.values() if not isinstance(c.level, (int, float)) or c.level != c.level]
         for c in self.curves.values():
             for pid in c.passes:
                 if pid not in self.points:

@@ -21,13 +21,13 @@ the bits of the per-loop product eye @ m0 @ m1 ... that loop_matrix forms.
 
 from __future__ import annotations
 
-import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import GroupSpec, HolonomyError
+from .coeff import GroupSpec, HolonomyError, check_coupling
 from .diagram import Arc, Diagram, FormalSum, Loop, Monomial
 
 
@@ -223,12 +223,10 @@ def eval_formal(fs: FormalSum, assign: HolonomyAssignment, beta: float) -> compl
     """Evaluate a formal sum: truncated-series coefficients at h = 2*beta
     times the Wilson values of the monomials.  A non-finite beta, or a value
     that overflows a float, raises HolonomyError."""
-    if not cmath.isfinite(beta):
-        raise HolonomyError(f"the coupling beta must be finite, got {beta!r}")
+    check_coupling(beta, error=HolonomyError)
     h = 2.0 * beta
     value = eval_complex_sum({m: c.eval_h(h) for m, c in fs.terms.items()}, assign)
-    if not cmath.isfinite(value):
-        raise HolonomyError(f"the value at beta={beta!r} overflows a float")
+    check_coupling(beta, (value,), error=HolonomyError)
     return value
 
 
@@ -281,8 +279,12 @@ def lattice_derivative_check(
     of width ~step straddling t=0, so only half its mass lands inside the
     interval; the matrix derivative must match (1/2) e_a hol to first order.
     """
+    if type(n_segments) is not int:
+        raise HolonomyError(f"n_segments must be an int, got {n_segments!r}")
     if n_segments < 2:
         raise HolonomyError("need at least 2 segments")
+    if not (isinstance(step, numbers.Real) and 0 < step < math.inf):
+        raise HolonomyError(f"step must be a number with 0 < step < inf, got {step!r}")
     if direction not in ("interior", "endpoint"):
         raise HolonomyError(f"direction must be interior|endpoint, got {direction!r}")
     rng = rng or np.random.default_rng(0)

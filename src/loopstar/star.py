@@ -34,8 +34,6 @@ smoothing joins head to head and tail to tail, two more swaps per crossing.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, compress, product
@@ -44,8 +42,10 @@ from typing import Iterator, Mapping, Sequence
 
 from .coeff import (
     DEFAULT_ORDER,
+    CoeffError,
     GroupSpec,
     SeriesCoeff,
+    check_coupling,
     closed_crossing_values,
     crossing_coeffs,
     kauffman_coeffs,
@@ -66,14 +66,6 @@ from . import goldman
 
 class StarError(ValueError):
     pass
-
-
-def _check_coupling(beta: float, values=()) -> None:
-    """A non-finite beta and a value that overflowed a float: domain errors."""
-    if not math.isfinite(beta):
-        raise StarError(f"the coupling beta must be finite, got {beta!r}")
-    if not all(map(cmath.isfinite, values)):
-        raise StarError(f"the value at beta={beta!r} overflows a float")
 
 
 @dataclass(frozen=True)
@@ -298,12 +290,12 @@ def expect_values(
     """Closed-form numeric state sum: exact hyperbolic coefficient values at
     the given coupling, symbolic monomials.  A non-finite beta, or a value
     that overflows a float, raises StarError."""
-    _check_coupling(beta)
+    check_coupling(beta, error=StarError)
     st = Stacked(d, leveled)
     try:
         steps = [closed_crossing_values(group, a.ctype, beta) for a in st.active]
-    except OverflowError:  # math.cosh and math.exp raise rather than return inf
-        raise StarError(f"the value at beta={beta!r} overflows a float") from None
+    except CoeffError as e:
+        raise StarError(str(e)) from None
     swaps = [[(a.cell_top, a.cell_bottom)] for a in st.active]
     unoriented = group.orientation_free
     out: dict[Monomial, complex] = {}
@@ -313,7 +305,7 @@ def expect_values(
         for (cv, cs), s in zip(steps, smoothed):
             coeff = coeff * (cs if s else cv)
         out[m] = out.get(m, 0j) + coeff
-    _check_coupling(beta, out.values())
+    check_coupling(beta, out.values(), error=StarError)
     return out
 
 
@@ -350,13 +342,13 @@ def star_complex(
     """Numeric star product on monomial sums with complex coefficients,
     using the closed-form crossing values.  Supports nesting.  A non-finite
     beta, or a value that overflows a float, raises StarError."""
-    _check_coupling(beta)
+    check_coupling(beta, error=StarError)
     d.require_valid()
     out: dict[Monomial, complex] = {}
     for leveled, c in _stackings((f, g), (1, -1)):
         for mono, val in expect_values(d, leveled, group, beta).items():
             out[mono] = out.get(mono, 0j) + c * val
-    _check_coupling(beta, out.values())
+    check_coupling(beta, out.values(), error=StarError)
     return out
 
 

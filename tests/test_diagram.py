@@ -90,6 +90,34 @@ def test_validate_dangling():
     assert any("only one pass" in e for e in d3.validate())
 
 
+def one_crossing_at(level) -> Diagram:
+    """C at the given level over D at level 0, crossing once at a."""
+    return Diagram(curves={"C": Curve("C", ("a",), level), "D": Curve("D", ("a",), 0)},
+                   points={"a": CrossingPoint("a", 1)})
+
+
+@pytest.mark.parametrize("level", [float("nan"), None, "1", 1j], ids=repr)
+def test_validate_reports_a_level_that_does_not_order(level):
+    """A NaN level compares false with every level, so stacking would put
+    the other curve on top whatever its level; a level that is not a number
+    would fail inside the state sum.  Both are validation errors."""
+    from loopstar.star import expect_diagram
+
+    d = one_crossing_at(level)
+    assert d.validate() == [f"curve C: level must be an int or a float other than NaN, got {level!r}"]
+    with pytest.raises(DiagramError, match="level must be"):
+        expect_diagram(d, GroupSpec("su2"), 2)
+
+
+@pytest.mark.parametrize("level, same_as", [(True, 1), (2.5, 1), (float("inf"), 1), (-0.5, -1)], ids=repr)
+def test_a_level_that_orders_keeps_its_answer(level, same_as):
+    from loopstar.star import expect_diagram
+
+    su2 = GroupSpec("su2")
+    assert one_crossing_at(level).validate() == []
+    assert expect_diagram(one_crossing_at(level), su2, 2) == expect_diagram(one_crossing_at(same_as), su2, 2)
+
+
 def test_validate_lists_each_fault_in_order_from_visit_counts():
     d = parse_diagram(
         "point a +\npoint b -\npoint c +\n"

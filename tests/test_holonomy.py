@@ -257,6 +257,21 @@ def test_lattice_validation():
         lattice_derivative_check(GroupSpec("su2"), 8, "sideways")
 
 
+@pytest.mark.parametrize("direction", ["interior", "endpoint"])
+@pytest.mark.parametrize("step", [0.0, -1e-4, math.inf, math.nan, "1e-4", None, 1e-4j], ids=repr)
+def test_lattice_check_refuses_a_step_that_is_not_positive_and_finite(direction, step):
+    """step = 0 made a NaN difference quotient that max() dropped, so the
+    interior check passed with a residual of exactly 0.0."""
+    with pytest.raises(HolonomyError, match="step must be"):
+        lattice_derivative_check(GroupSpec("su2"), 8, direction, step)
+
+
+@pytest.mark.parametrize("n_segments", [64.0, True, "64", None], ids=repr)
+def test_lattice_check_refuses_a_segment_count_that_is_not_an_int(n_segments):
+    with pytest.raises(HolonomyError, match="n_segments must be an int"):
+        lattice_derivative_check(GroupSpec("su2"), n_segments)
+
+
 def _expm_gap(a):
     ref = expm(a)
     return np.max(np.abs(_expm(a) - ref)), 1e-13 * max(1.0, np.linalg.norm(ref, 2))

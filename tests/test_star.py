@@ -10,10 +10,13 @@ from pathlib import Path
 from loopstar.coeff import (
     CoeffError,
     GroupSpec,
+    HolonomyError,
     SeriesCoeff,
+    closed_crossing_values,
     crossing_coeffs,
     exp_series,
     kauffman_coeffs,
+    kauffman_values,
 )
 from loopstar.diagram import (
     Arc,
@@ -578,3 +581,44 @@ def test_closed_form_paths_refuse_a_float_overflow(text, beta, coeff):
     if coeff == 1.0:
         with pytest.raises(StarError, match="overflows"):
             expect_values(d, [(d.loop_of(c), d.curves[c].level) for c in d.curves], su2, beta)
+
+
+def coupling_takers():
+    """Each entry point that takes a numeric coupling, with the domain error
+    it raises, as a function of beta alone."""
+    d = parse_diagram(ONE)
+    su2 = GroupSpec("su2")
+    loops = [(d.loop_of(c), d.curves[c].level) for c in d.curves]
+    f = {monomial([d.loop_of("C")]): 1.0 + 0j}
+    g = {monomial([d.loop_of("D")]): 1.0 + 0j}
+    fs = star(d, as_factor(d, su2, "C"), as_factor(d, su2, "D"), su2)
+    assign = random_assignment(d, su2, np.random.default_rng(0))
+    return {
+        "closed_crossing_values": (CoeffError, lambda beta: closed_crossing_values(su2, "over", beta)),
+        "kauffman_values": (CoeffError, kauffman_values),
+        "expect_values": (StarError, lambda beta: expect_values(d, loops, su2, beta)),
+        "star_complex": (StarError, lambda beta: star_complex(d, f, g, su2, beta)),
+        "eval_formal": (HolonomyError, lambda beta: eval_formal(fs, assign, beta)),
+    }
+
+
+COUPLING_TAKERS = sorted(coupling_takers())
+
+
+@pytest.mark.parametrize("beta", [
+    float("inf"), float("-inf"), float("nan"),  # not finite
+    1e200, -1e200, pytest.param(10**400, id="10**400"),  # finite, but too large for a float
+    "0.1", None, 0.1j,  # not a real number
+], ids=repr)
+@pytest.mark.parametrize("taker", COUPLING_TAKERS)
+def test_one_coupling_rule_for_every_numeric_entry_point(taker, beta):
+    """Every entry point that takes a coupling raises its own domain error,
+    and only that, on a beta that is not a finite real or whose values
+    overflow a float: never a bare OverflowError or TypeError, and never a
+    value that is not finite."""
+    error, at = coupling_takers()[taker]
+    with pytest.raises(ValueError) as exc:
+        at(beta)
+    assert type(exc.value) is error
+    assert re.fullmatch(r"the coupling beta must be finite, got .*|the value at beta=.* overflows a float",
+                        str(exc.value))
