@@ -57,12 +57,9 @@ def random_diagram(
     shuffled per curve.  No planarity is implied or needed."""
     points: dict[str, CrossingPoint] = {}
     visits: dict[int, list[str]] = {i: [] for i in range(n_curves)}
-    counter = 0
 
     def new_point(prefix: str) -> str:
-        nonlocal counter
-        pid = f"{prefix}{counter}"
-        counter += 1
+        pid = f"{prefix}{len(points)}"
         points[pid] = CrossingPoint(pid, 1 if rng.random() < 0.5 else -1)
         return pid
 
@@ -85,7 +82,7 @@ def random_diagram(
 
 
 def random_factors(
-    rng: np.random.Generator, group: GroupSpec, order: int, allow_duplicates: bool = True
+    rng: np.random.Generator, order: int, allow_duplicates: bool = True
 ) -> tuple[Diagram, FormalSum, FormalSum]:
     """Random diagram split into two star factors (monomials)."""
     n_f = int(rng.integers(1, 3))
@@ -143,9 +140,8 @@ def check_crossing_tables(seed: int = 0) -> CheckResult:
     failures = []
     su2 = GroupSpec("su2")
     for grp in (su2, GroupSpec("sl2r"), GroupSpec("gln", 2), GroupSpec("gln", 3), GroupSpec("un", 2)):
-        for ctype in ("over", "under"):
+        for ctype, sgn in (("over", 1), ("under", -1)):
             cc = crossing_coeffs(grp, ctype, order)
-            sgn = 1 if ctype == "over" else -1
             if cc.virtual[0] != 1 or cc.smooth[0] != 0:
                 failures.append(f"{grp}/{ctype}: h^0 slot")
             want_v1 = Fraction(-sgn, 2) if grp.orientation_free else Fraction(0)
@@ -238,7 +234,7 @@ def check_bracket_antisymmetry(seed: int = 0) -> CheckResult:
     ok = True
     for _ in range(trials):
         for grp in (GroupSpec("gln", 2), GroupSpec("su2")):
-            d, f, g = random_factors(rng, grp, 4)
+            d, f, g = random_factors(rng, 4)
             lhs = goldman.bracket_poly(d, f, g, grp)
             rhs = goldman.bracket_poly(d, g, f, grp)
             ok &= (lhs + rhs).is_zero()
@@ -252,7 +248,7 @@ def check_poisson_limit(seed: int = 0) -> CheckResult:
     for family, groups in FAMILIES.items():
         for k in range(per_family):
             grp = groups[k % len(groups)]
-            d, f, g = random_factors(rng, grp, order)
+            d, f, g = random_factors(rng, order)
             res = poisson_limit_check(d, f, g, grp, order)
             if not res.is_zero():
                 bad += 1
@@ -288,7 +284,7 @@ def check_resolution_order(seed: int = 0) -> CheckResult:
     worst = 0.0
     for _ in range(4):
         grp = GroupSpec("su2")
-        d, f, g = random_factors(rng, grp, order, allow_duplicates=False)
+        d, f, g = random_factors(rng, order, allow_duplicates=False)
         loops = [(l, 1) for l in next(iter(f.terms))] + [(l, -1) for l in next(iter(g.terms))]
         st = Stacked(d, loops)
         k = len(st.active)

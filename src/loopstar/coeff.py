@@ -41,11 +41,11 @@ class HolonomyError(ValueError):
     CLI can catch it without importing numpy."""
 
 
-def check_order(order) -> None:
-    """The one truncation-order rule: raise CoeffError unless order is an
-    int (not a bool) >= 0."""
+def check_order(order, error=CoeffError) -> None:
+    """The one truncation-order rule: raise error unless order is an int
+    (not a bool) >= 0."""
     if type(order) is not int or order < 0:
-        raise CoeffError(f"order must be an int >= 0, got {order!r}")
+        raise error(f"order must be an int >= 0, got {order!r}")
 
 
 def check_coupling(beta, values=(), error=CoeffError) -> None:
@@ -288,23 +288,15 @@ def _sign(ctype: str) -> int:
 
 def series_hyperbolic(kind: str, delta, order: int) -> SeriesCoeff:
     """Truncated series of cosh(beta*sqrt(delta)) or sinh(beta*sqrt(delta))/sqrt(delta)
-    in h, with beta = h/2."""
+    in h = 2*beta: delta^(k//2) / (k! * 2^k) at h^k, on even k for cosh, odd k for sinh."""
     check_order(order)
     d = _as_fraction(delta)
     if d <= 0:
         raise CoeffError("delta must be positive")
-    out = [Fraction(0)] * (order + 1)
-    if kind == "cosh_scaled":
-        # h^{2j} coefficient: delta^j / ((2j)! * 4^j)
-        for j in range(0, order // 2 + 1):
-            out[2 * j] = d**j / (math.factorial(2 * j) * 4**j)
-    elif kind == "sinh_over_root":
-        # h^{2j+1} coefficient: delta^j / ((2j+1)! * 2^{2j+1})
-        for j in range(0, (order - 1) // 2 + 1):
-            out[2 * j + 1] = d**j / (math.factorial(2 * j + 1) * 2 ** (2 * j + 1))
-    else:
+    if kind not in ("cosh_scaled", "sinh_over_root"):
         raise CoeffError(f"unknown hyperbolic kind {kind!r}")
-    return SeriesCoeff(out)
+    odd = kind == "sinh_over_root"
+    return SeriesCoeff([d ** (k // 2) / (math.factorial(k) * 2**k) if k % 2 == odd else 0 for k in range(order + 1)])
 
 
 def exp_series(rate, order: int) -> SeriesCoeff:

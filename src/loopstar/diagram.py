@@ -142,19 +142,24 @@ def least_form(keys: list, rkeys: list | None = None) -> tuple[int, bool, list]:
     return r, False, best
 
 
+def is_unoriented(convention: str) -> bool:
+    """The one convention rule: "oriented" or "unoriented", else DiagramError."""
+    if convention not in ("oriented", "unoriented"):
+        raise DiagramError(f"unknown convention {convention!r}")
+    return convention == "unoriented"
+
+
 def canonical(word: Iterable[WordEntry], convention: str = "oriented") -> Loop:
     """Minimal rotation of the word; under the unoriented convention also
     minimal over full reversal."""
     w = tuple(word)
     if not w:
         raise DiagramError("empty loop word")
-    if convention == "unoriented":
+    if is_unoriented(convention):
         rw = reverse_word(w)
         rkeys = [entry_key(e) for e in rw]
-    elif convention == "oriented":
-        rw = rkeys = None
     else:
-        raise DiagramError(f"unknown convention {convention!r}")
+        rw = rkeys = None
     start, flipped, _ = least_form([entry_key(e) for e in w], rkeys)
     seq = rw if flipped else w
     return Loop(seq[start:] + seq[:start])
@@ -204,7 +209,7 @@ class FormalSum:
     def add_term(self, m: Monomial, c) -> None:
         """Add c to the coefficient of m; a series of another order raises
         CoeffError, as SeriesCoeff addition does."""
-        if isinstance(c, (int, Fraction)):
+        if not isinstance(c, SeriesCoeff):
             c = SeriesCoeff.constant(c, self.order)
         cur = self.terms.get(m)
         if cur is None and c.order != self.order:
@@ -225,7 +230,7 @@ class FormalSum:
         return self + other.scale(-1)
 
     def scale(self, c) -> "FormalSum":
-        if isinstance(c, (int, Fraction)):
+        if not isinstance(c, SeriesCoeff):
             c = SeriesCoeff.constant(c, self.order)
         return FormalSum({m: c * v for m, v in self.terms.items()}, order=self.order)
 
@@ -346,12 +351,14 @@ class Diagram:
 
     def entry_end(self, e: WordEntry) -> tuple[str, int] | None:
         """Pass (point, slot) at which a directed word entry terminates;
-        None for the free arc of a pass-less curve.  An arc that is not
-        one of the diagram's raises DiagramError."""
+        None for the free arc of a pass-less curve.  An arc that is not one
+        of the diagram's, or a direction other than +1 or -1, raises DiagramError."""
         arc, d = e
         curve = self.curves.get(arc.curve)
-        if curve is None or not 0 <= arc.index < max(len(curve.passes), 1):
+        if curve is None or not 0 <= arc.index < max(len(curve.passes), 1) or arc.index % 1:
             raise DiagramError(f"arc {arc.id} is not an arc of the diagram")
+        if d not in (1, -1):
+            raise DiagramError(f"arc {arc.id}: direction {d!r} is not +1 or -1")
         k = len(curve.passes)
         if k == 0:
             return None
@@ -462,15 +469,6 @@ def parse_diagram(text: str) -> Diagram:
     return Diagram(curves=curves, points=points)
 
 
-def render_diagram(d: Diagram) -> str:
-    """Canonical text: points then curves, each sorted by id."""
-    lines = [f"point {p.id} {'+' if p.sign == 1 else '-'}" for p in
-             sorted(d.points.values(), key=lambda p: p.id)]
-    for c in sorted(d.curves.values(), key=lambda c: c.id):
-        lines.append(f"curve {c.id} level {c.level}: {' '.join(c.passes)}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
 # -- JSON formal sums ---------------------------------------------------------
 
 
@@ -507,6 +505,7 @@ def formal_sum_from_json(text: str, convention: str = "oriented") -> FormalSum:
     rationals, each a "p/q" string or a non-bool int, a loop word that is
     not a list, a word entry that is not [arc id string, flag], an empty
     word, a bad flag or arc id, an unknown convention) raises DiagramError."""
+    is_unoriented(convention)
     try:
         data = json.loads(text)
     except ValueError as e:
@@ -514,8 +513,7 @@ def formal_sum_from_json(text: str, convention: str = "oriented") -> FormalSum:
     if not isinstance(data, dict):
         raise DiagramError(f"a formal sum is a JSON object, got {type(data).__name__}")
     order = data.get("order")
-    if type(order) is not int or order < 0:
-        raise DiagramError(f"order must be an int >= 0, got {order!r}")
+    check_order(order, DiagramError)
     terms = data.get("terms")
     if not isinstance(terms, list):
         raise DiagramError(f"terms must be a list, got {terms!r}")

@@ -115,8 +115,6 @@ def lie_basis(group: GroupSpec) -> LieBasis:
                 mats.append(_elementary(n, i, j) - _elementary(n, j, i))
                 mats.append(1j * (_elementary(n, i, j) + _elementary(n, j, i)))
     gram = np.array([[np.trace(a @ b) for b in mats] for a in mats])
-    if abs(np.linalg.det(gram)) < 1e-12:
-        raise HolonomyError(f"singular Gram matrix for {group}")
     return LieBasis(tuple(mats), gram, np.linalg.inv(gram))
 
 

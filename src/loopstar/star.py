@@ -244,11 +244,10 @@ def _state_table(group: GroupSpec, order: int, n_over: int, n_under: int) -> tup
     smoothings as the walk is.  The cut is exact only while no smoothing
     coefficient has an h^0 term, so one that has raises StarError.  Cached
     per process; the tuples keep shared entries immutable."""
-    pairs = {t: crossing_coeffs(group, t, order) for t, n in (("over", n_over), ("under", n_under)) if n}
-    if any(p.smooth[0] for p in pairs.values()):
+    over, under = (crossing_coeffs(group, t, order) for t in ("over", "under"))
+    if over.smooth[0] or under.smooth[0]:
         raise StarError(f"{group}: a smoothing coefficient has an h^0 term; the cut at K is not exact")
-    over, under = ((pairs[t].virtual, pairs[t].smooth) if t in pairs else (None, None) for t in ("over", "under"))
-    return _count_table(over, under, n_over, n_under, order, order)
+    return _count_table((over.virtual, over.smooth), (under.virtual, under.smooth), n_over, n_under, order, order)
 
 
 def _exact_sum(st: Stacked, start, swaps, over, table, walk, unoriented: bool, order: int, cut=None) -> FormalSum:

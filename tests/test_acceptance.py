@@ -89,7 +89,7 @@ def test_criterion_02_poisson_limit_exact():
         rng = np.random.default_rng(seeds[family])
         for k in range(20):
             grp = groups[k % len(groups)]
-            d, f, g = random_factors(rng, grp, K)
+            d, f, g = random_factors(rng, K)
             assert poisson_limit_check(d, f, g, grp).is_zero()
             total += 1
     _report(2, f"h^1 slot of star equals bracket exactly on {total} random diagrams")

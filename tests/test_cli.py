@@ -149,7 +149,7 @@ def test_order_defaults_to_default_order(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["K"] == DEFAULT_ORDER
 
 
-@pytest.mark.parametrize("beta", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("beta", ["inf", "-inf", "nan", "abc"])
 @pytest.mark.parametrize("verb", [
     ["coeffs"],
     ["star", str(DIAGRAMS / "one_crossing.ls")],

@@ -32,6 +32,7 @@ from loopstar.coeff import (
     kauffman_values,
     series_hyperbolic,
 )
+from loopstar.diagram import FormalSum
 
 K = 8
 
@@ -479,14 +480,19 @@ RATIONAL_TAKERS = {
     "SeriesCoeff.constant": lambda x: SeriesCoeff.constant(x, 2),
     "series_hyperbolic": lambda x: series_hyperbolic("cosh_scaled", x, 2),
     "exp_series": lambda x: exp_series(x, 2),
+    "FormalSum": lambda x: FormalSum({(): x}, 2),
+    "FormalSum.add_term": lambda x: FormalSum(order=2).add_term((), x),
+    "FormalSum.scale": lambda x: FormalSum.of((), 2).scale(x),
 }
 
 
-@pytest.mark.parametrize("value", [0.1, 2.5, "1/2"], ids=repr)
+@pytest.mark.parametrize("value", [0.1, 2.5, "1/2", None, 0.5j], ids=repr)
 @pytest.mark.parametrize("taker", sorted(RATIONAL_TAKERS))
 def test_one_exact_rational_rule_for_every_series_builder(taker, value):
-    """Every builder of a series refuses a float or a string with the same
-    CoeffError, so no float's binary value, such as 0.1's, enters a series."""
+    """Every builder of a series, and every FormalSum coefficient that is
+    not a series, refuses a float, a string, None or a complex number with
+    the same CoeffError, so no float's binary value, such as 0.1's, enters
+    a series."""
     with pytest.raises(CoeffError, match=rf"^expected exact rational, got {type(value).__name__}$"):
         RATIONAL_TAKERS[taker](value)
 
@@ -507,3 +513,19 @@ def test_group_spec_takes_an_int_matrix_size_only(kind, n):
     matrix size."""
     with pytest.raises(CoeffError, match=rf"^matrix size must be an int, got {re.escape(repr(n))}$"):
         GroupSpec(kind, n)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: GroupSpec("gln", 0), "matrix size must be >= 1"),
+    (lambda: crossing_coeffs(GroupSpec("su2"), "sideways"), "crossing type must be 'over' or 'under', got 'sideways'"),
+    (lambda: SeriesCoeff([]), "empty coefficient list without explicit order"),
+], ids=["gln-0", "sideways-crossing", "empty-series"])
+def test_coefficient_domain_errors(make, message):
+    with pytest.raises(CoeffError) as e:
+        make()
+    assert str(e.value) == message
+
+
+def test_series_repr_lists_the_nonzero_slots_and_the_order():
+    assert repr(SeriesCoeff([1, Fraction(-1, 2), 0, 3])) == "SeriesCoeff(1*h^0 + -1/2*h^1 + 3*h^3; K=3)"
+    assert repr(SeriesCoeff.zero(2)) == "SeriesCoeff(0; K=2)"

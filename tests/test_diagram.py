@@ -28,7 +28,6 @@ from loopstar.diagram import (
     monomial,
     monomial_text,
     parse_diagram,
-    render_diagram,
     reverse,
 )
 from loopstar.holonomy import eval_wilson, loop_matrix, random_assignment
@@ -146,12 +145,6 @@ def test_a_dict_key_that_is_not_its_values_id_is_invalid():
     assert d.validate()[0] == "point key 'q' holds point 'p'"
 
 
-def test_render_round_trip():
-    d = parse_diagram(ONE_CROSSING)
-    text = render_diagram(d)
-    assert render_diagram(parse_diagram(text)) == text
-
-
 GOLDEN_SIX = """\
 point s4 -
 point s5 -
@@ -164,13 +157,12 @@ curve C1 level 0: x3 x1 s5 s5 x0 x2
 """
 
 
-def test_render_round_trip_six_crossings():
-    # frozen golden: canonical rendering of a 6-crossing two-curve diagram
+def test_random_diagram_six_crossing_golden():
+    # frozen golden: the 6-crossing two-curve diagram this seed draws
     # (4 inter-curve crossings plus one self-crossing per curve)
     rng = np.random.default_rng(12)
     d = random_diagram(rng, n_curves=2, max_pair_crossings=6, self_crossing_prob=1.0)
-    assert render_diagram(d) == GOLDEN_SIX
-    assert render_diagram(parse_diagram(GOLDEN_SIX)) == GOLDEN_SIX
+    assert d == parse_diagram(GOLDEN_SIX)
     assert parse_diagram(GOLDEN_SIX).validate() == []
 
 
@@ -602,3 +594,25 @@ def test_a_negative_order_on_zero_factors_is_a_domain_error():
         star(d, FormalSum.zero(8), FormalSum.zero(8), su2, -1)
     with pytest.raises(CoeffError):
         bracket_poly(d, FormalSum.zero(8), FormalSum.zero(8), su2, order=-1)
+
+
+LONG_ARC_ID = "C." + "1" * 4301  # more digits than int() converts
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: parse_diagram("curve C level 0: a-b\n"), "line 1: bad pass token 'a-b'"),
+    (lambda: CrossingPoint("p", 0), "crossing sign must be +-1, got 0"),
+    (lambda: Arc.from_id(LONG_ARC_ID), f"bad arc id {LONG_ARC_ID!r}"),
+    (lambda: formal_sum_from_json('{"order": 0, "terms": []}', "bogus"), "unknown convention 'bogus'"),
+], ids=["bad-pass-token", "crossing-sign-0", "arc-index-past-int-digits", "convention-before-terms"])
+def test_diagram_domain_errors(make, message):
+    with pytest.raises(DiagramError) as e:
+        make()
+    assert str(e.value) == message
+
+
+def test_formal_sum_repr_lists_each_coefficient_and_its_loops():
+    d = parse_diagram("point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\n")
+    fs = FormalSum.of(monomial([d.loop_of("C"), d.loop_of("D")]), 1)
+    assert repr(fs) == "FormalSum(SeriesCoeff(1*h^0; K=1) * [Loop(C.0 C.1), Loop(D.0 D.1)])"
+    assert repr(FormalSum.zero(3)) == "FormalSum(0)"

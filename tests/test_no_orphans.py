@@ -3,15 +3,18 @@ package, and every method of its classes other than the dunders, is used
 somewhere other than its own definition.
 
 The package, the demos and the benchmark are parsed with ast, not imported.
-A use is a name, an attribute, an import alias or a value in a dict such as
-checks.SUITES (itself a name); a method is used only when it is read as an
-attribute.  A use inside the definition it names, such as a recursive call,
-does not count, and neither does a use from the tests: a helper that only
-its tests call is dead code.
+A use is a name, an attribute, an import alias, a value in a dict such as
+checks.SUITES (itself a name), or the names after the module in a dotted
+string such as bench/tracer.py's "diagram.formal_sum_from_json"; a method
+is used only when it is read as an attribute.  A use inside the definition
+it names, such as a recursive call, does not count, and neither does a
+re-export in an __init__.py or a use from the tests: a helper that only its
+tests call is dead code.
 """
 
 import ast
 import pathlib
+import re
 from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -19,6 +22,7 @@ PACKAGE = ROOT / "src" / "loopstar"
 USERS = (PACKAGE, ROOT / "demos", ROOT / "bench")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
 def is_dunder(name: str) -> bool:
@@ -38,6 +42,8 @@ def used_names(node: ast.AST) -> set[str]:
             out.add(n.attr)
         elif isinstance(n, ast.alias):
             out.update(filter(None, (n.name.rpartition(".")[2], n.asname)))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and DOTTED.fullmatch(n.value):
+            out.update(n.value.split(".")[1:])
     return out
 
 
@@ -51,6 +57,8 @@ def orphans(folders, package: pathlib.Path) -> tuple[int, list[str]]:
                 owner = stmt.name if isinstance(stmt, DEFINITIONS) else None
                 if owner and folder == package and not is_dunder(owner):
                     definitions.append((path, owner))
+                if path.name == "__init__.py":  # a re-export is not a use
+                    continue
                 for name in used_names(stmt):
                     uses.setdefault(name, set()).add((path, owner))
     unused = [f"{path.name}:{name}" for path, name in definitions if not uses.get(name, set()) - {(path, name)}]
@@ -94,6 +102,22 @@ def test_a_helper_used_only_by_itself_is_an_orphan(tmp_path):
     )
     (tmp_path / "user.py").write_text("from mod import exported\n")
     assert orphans([tmp_path], tmp_path) == (3, ["mod.py:helper"])
+
+
+def test_a_re_export_is_not_a_use(tmp_path):
+    """A definition that only the package's __init__.py imports, to export
+    it, is unused."""
+    (tmp_path / "mod.py").write_text("def exported():\n    return 2\n")
+    (tmp_path / "__init__.py").write_text("from .mod import exported\n\n__all__ = ['exported']\n")
+    assert orphans([tmp_path], tmp_path) == (1, ["mod.py:exported"])
+
+
+def test_a_dotted_string_names_a_use(tmp_path):
+    """A "module.name" string, as the benchmark's layer table writes its
+    keys, uses the name; a plain string with the same text does not."""
+    (tmp_path / "mod.py").write_text("def named():\n    return 1\n\ndef quoted():\n    return 2\n")
+    (tmp_path / "user.py").write_text("LAYERS = {'mod.named': 'x'}\nWORDS = ['quoted']\n")
+    assert orphans([tmp_path], tmp_path) == (2, ["mod.py:quoted"])
 
 
 def test_every_method_is_read_outside_itself():

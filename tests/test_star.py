@@ -22,6 +22,7 @@ from loopstar.diagram import (
     Arc,
     DiagramError,
     FormalSum,
+    Loop,
     TransversalityError,
     canonical,
     monomial,
@@ -113,7 +114,7 @@ def test_expect_resolution_order_independence():
     worst = 0.0
     for _ in range(6):
         grp = GroupSpec("su2")
-        d, f, g = random_factors(rng, grp, 5, allow_duplicates=False)
+        d, f, g = random_factors(rng, 5, allow_duplicates=False)
         loops = [(l, 1) for l in next(iter(f.terms))] + [(l, -1) for l in next(iter(g.terms))]
         k = len(Stacked(d, loops).active)
         orders = [list(range(k)), list(reversed(range(k)))]
@@ -169,7 +170,7 @@ def test_star_h0_slot_is_pointwise_product():
     rng = np.random.default_rng(61)
     for _ in range(6):
         grp = GroupSpec("gln", 2)
-        d, f, g = random_factors(rng, grp, 4)
+        d, f, g = random_factors(rng, 4)
         s = star(d, f, g, grp)
         fm, fc = next(iter(f.terms.items()))
         gm, gc = next(iter(g.terms.items()))
@@ -286,10 +287,11 @@ def test_invalid_diagram_is_rejected_at_every_entry_point():
                 call()
 
 
-@pytest.mark.parametrize("arc", [Arc("C", 5), Arc("Z", 0)], ids=["index-past-the-curve", "unknown-curve"])
+@pytest.mark.parametrize("arc", [Arc("C", 5), Arc("Z", 0), Arc("C", 0.5)],
+                         ids=["index-past-the-curve", "unknown-curve", "fractional-index"])
 def test_an_arc_the_diagram_lacks_is_rejected_at_every_entry_point(arc):
-    """C has one arc and there is no curve Z: a loop through C.5 or Z.0 is
-    not a loop of the diagram, and no entry point may read it as C.0 or
+    """C has one arc and there is no curve Z: a loop through C.5, Z.0 or
+    C.0.5 is not a loop of the diagram, and no entry point may read it as C.0 or
     fail with a KeyError.  (A star_complex factor of no terms reaches no
     loop, so that call is left out.)"""
     su2, gl2 = GroupSpec("su2"), GroupSpec("gln", 2)
@@ -313,6 +315,25 @@ def test_an_arc_the_diagram_lacks_is_rejected_at_every_entry_point(arc):
     for call in calls:
         with pytest.raises(DiagramError, match=re.escape(f"arc {arc.id} is not an arc")):
             call()
+
+
+def test_a_direction_other_than_plus_or_minus_one_is_rejected():
+    """D reversed, written with the flag 0 in place of -1: a crossing sign
+    multiplied by 0 read the crossing as the other type, so star_loops
+    flipped two terms and bracket_loops returned 0."""
+    d = parse_diagram("point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\n")
+    gl2 = GroupSpec("gln", 2)
+    x, y = d.loop_of("C"), Loop(tuple((a, 0) for a, _ in reversed(d.loop_of("D").word)))
+    for call in (lambda: star_loops(d, x, y, gl2, 2), lambda: bracket_loops(d, x, y, gl2),
+                 lambda: expect_loops(d, [(x, 1), (y, -1)], gl2, 2)):
+        with pytest.raises(DiagramError, match=r"^arc D\.\d: direction 0 is not \+1 or -1$"):
+            call()
+
+
+def test_a_bool_direction_or_index_keeps_its_answer():
+    d = parse_diagram("point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\n")
+    for arc, flag in ((Arc("C", True), True), (Arc("C", False), 1), (Arc("D", 1), True)):
+        assert d.entry_end((arc, flag)) == d.entry_end((Arc(arc.curve, int(arc.index)), 1))
 
 
 # -- poisson limit ----------------------------------------------------------------
@@ -348,7 +369,7 @@ def test_poisson_limit_random_corpus(family):
     groups = FAMILIES[family]
     for k in range(8):
         grp = groups[k % len(groups)]
-        d, f, g = random_factors(rng, grp, 4)
+        d, f, g = random_factors(rng, 4)
         assert poisson_limit_check(d, f, g, grp).is_zero()
 
 
@@ -477,6 +498,13 @@ def test_unoriented_single_over_crossing():
 
     rev = monomial([canonical(d.concat_at(x, reverse(y), "a").word, "unoriented")])
     assert out.terms == {compat: a, rev: b}
+
+
+def test_unoriented_rejects_one_loop_stacked_twice():
+    d = parse_diagram(ONE)
+    x, y = d.loop_of("C"), d.loop_of("D")
+    with pytest.raises(StarError, match="^duplicate loops are not supported in the unoriented resolution$"):
+        unoriented_kauffman_resolution(d, [(x, 2), (y, 0), (x, 1)], GroupSpec("su2"), K)
 
 
 def test_unoriented_rejects_oriented_groups():
