@@ -7,6 +7,12 @@ verdict and printed residual), and of `check lattice` at seeds 0 and 7.  The dig
 the Fraction-based series kernel, so any change to the exact arithmetic or
 to the float evaluation that alters a printed byte fails here.
 
+LARGE holds the same digests for star and expect, as JSON and as the text
+table, on two generated two-curve diagrams of the size the `deep` benchmark
+runs (su2 at k=10, gln(3) at k=11, K=8): sums of thousands of terms with
+long coefficients, which the corpus is too small to reach.  They were
+recorded from the list-of-dicts encoder passed through json.dumps(indent=2).
+
 To re-record after an intended output change, print the new table with
     PYTHONPATH=src python -c "import tests.test_golden as g; g.print_table()"
 """
@@ -15,6 +21,7 @@ import contextlib
 import hashlib
 import io
 import pathlib
+import random
 
 import pytest
 
@@ -54,6 +61,39 @@ def stdout_digest(argv: list[str]) -> tuple[int, str]:
 
 def print_table() -> None:
     for name, argv in cases().items():
+        print(f'    "{name}": {stdout_digest(argv)!r},')
+
+
+def deep_diagram(k: int, seed: int) -> str:
+    """Two curves C (level 1) and D (level 0) through k points of random
+    sign, D visiting them in a shuffled order, as the `deep` benchmark
+    draws them."""
+    rng = random.Random(seed)
+    lines = [f"point x{j} {rng.choice('+-')}" for j in range(k)]
+    order = list(range(k))
+    rng.shuffle(order)
+    lines.append("curve C level 1: " + " ".join(f"x{j}" for j in range(k)))
+    lines.append("curve D level 0: " + " ".join(f"x{j}" for j in order))
+    return "\n".join(lines) + "\n"
+
+
+# name -> (group arguments, crossings, seed)
+DEEP = {"su2_k10": (GROUPS["su2"], 10, 1), "gln3_k11": (GROUPS["gln3"], 11, 2)}
+
+
+def large_cases(folder: pathlib.Path) -> dict[str, list[str]]:
+    out = {}
+    for dname, (gargs, k, seed) in DEEP.items():
+        path = folder / f"{dname}.ls"
+        path.write_text(deep_diagram(k, seed))
+        for verb in ("star", "expect"):
+            for fname in ("json", "text"):
+                out[f"{verb}/{dname}/{fname}"] = [verb, *gargs, *FORMATS[fname], str(path)]
+    return out
+
+
+def print_large_table(folder: str) -> None:
+    for name, argv in large_cases(pathlib.Path(folder)).items():
         print(f'    "{name}": {stdout_digest(argv)!r},')
 
 
@@ -193,3 +233,22 @@ def test_golden_table_covers_every_case():
 @pytest.mark.parametrize("name", sorted(cases()))
 def test_cli_output_matches_golden(name):
     assert stdout_digest(cases()[name]) == GOLDEN[name]
+
+
+LARGE = {
+    "star/su2_k10/json": (0, '497ecbfe2bde9721'),
+    "star/su2_k10/text": (0, '78a6d05e37493580'),
+    "expect/su2_k10/json": (0, '96541b65c0a224af'),
+    "expect/su2_k10/text": (0, '78a6d05e37493580'),
+    "star/gln3_k11/json": (0, '27c45d5cf3343ce0'),
+    "star/gln3_k11/text": (0, '4c1b11d1a7b3364a'),
+    "expect/gln3_k11/json": (0, 'daea2150d39e7ec1'),
+    "expect/gln3_k11/text": (0, '4c1b11d1a7b3364a'),
+}
+
+
+def test_large_sums_match_golden(tmp_path):
+    cases = large_cases(tmp_path)
+    assert set(cases) == set(LARGE)
+    for name, argv in cases.items():
+        assert stdout_digest(argv) == LARGE[name], name
