@@ -33,11 +33,10 @@ from .diagram import (
     DiagramError,
     FormalSum,
     monomial,
-    monomial_text,
     parse_diagram,
 )
-# bench/tracer.py traces the term encoder under this name
-from .diagram import formal_sum_terms as _formal_sum_payload
+# bench/tracer.py traces the formal sum writer under this name
+from .diagram import write_formal_sum as _formal_sum_payload
 from .goldman import FORMS, bracket_poly
 from .star import StarError, expect_diagram, star
 
@@ -75,17 +74,6 @@ def _finite_beta(text: str) -> float:
     return beta
 
 
-def _render_formal_sum_text(fs: FormalSum) -> str:
-    if fs.is_zero():
-        return "0\n"
-    rows = [(monomial_text(m), c.strings()) for m, c in fs]
-    width = max(len(r[0]) for r in rows)
-    lines = [f"{'monomial'.ljust(width)}  coefficients of h^0..h^{fs.order}"]
-    for mono, cs in rows:
-        lines.append(f"{mono.ljust(width)}  {' '.join(cs)}")
-    return "\n".join(lines) + "\n"
-
-
 def _emit_formal_sum(fs: FormalSum, args, group: GroupSpec, d, operation: str):
     ev = None
     if args.eval_beta is not None:
@@ -97,12 +85,10 @@ def _emit_formal_sum(fs: FormalSum, args, group: GroupSpec, d, operation: str):
         value = eval_formal(fs, assign, args.eval_beta)
         ev = {"beta": args.eval_beta, "seed": args.seed, "value": [value.real, value.imag]}
     if args.format == "json":
-        payload = {"group": str(group), "order": fs.order, "terms": _formal_sum_payload(fs), "operation": operation}
-        if ev is not None:
-            payload["eval"] = ev
-        print(json.dumps(payload, indent=2))
+        tail = {"operation": operation} if ev is None else {"operation": operation, "eval": ev}
+        print(_formal_sum_payload(fs, "json", {"group": str(group)}, tail))
     else:
-        sys.stdout.write(_render_formal_sum_text(fs))
+        sys.stdout.write(_formal_sum_payload(fs, "text"))
         if ev is not None:
             print(f"value at beta={ev['beta']} (seed {ev['seed']}): {ev['value'][0]!r} + {ev['value'][1]!r}i")
 

@@ -187,8 +187,16 @@ class SeriesCoeff:
     __rmul__ = __mul__
 
     def strings(self) -> list[str]:
-        """The coefficients as p/q strings, the one place a series becomes text."""
-        return [str(c) for c in self.coeffs]
+        """The coefficients as p/q strings, the one place a series becomes
+        text: the bytes of str(Fraction), written from num and den."""
+        den = self.den
+        if den == 1:
+            return [str(a) for a in self.num]
+        out = []
+        for a in self.num:
+            g = math.gcd(a, den)
+            out.append(str(a // g) if g == den else f"{a // g}/{den // g}")
+        return out
 
     def truncate(self, order: int) -> "SeriesCoeff":
         check_order(order)

@@ -355,7 +355,11 @@ class Diagram:
         of the diagram's, or a direction other than +1 or -1, raises DiagramError."""
         arc, d = e
         curve = self.curves.get(arc.curve)
-        if curve is None or not 0 <= arc.index < max(len(curve.passes), 1) or arc.index % 1:
+        try:
+            foreign = curve is None or not 0 <= arc.index < max(len(curve.passes), 1) or arc.index % 1
+        except TypeError:  # an index that does not compare or divide as a number, such as "0"
+            foreign = True
+        if foreign:
             raise DiagramError(f"arc {arc.id} is not an arc of the diagram")
         if d not in (1, -1):
             raise DiagramError(f"arc {arc.id}: direction {d!r} is not +1 or -1")
@@ -472,20 +476,72 @@ def parse_diagram(text: str) -> Diagram:
 # -- JSON formal sums ---------------------------------------------------------
 
 
-def formal_sum_terms(fs: FormalSum) -> list[dict]:
-    """The terms of a formal sum in canonical order: p/q coefficient strings
-    and each loop as [arc id, "+"|"-"] pairs."""
-    return [
-        {
-            "coeff": c.strings(),
-            "monomial": [[[a.id, "+" if d == 1 else "-"] for a, d in l.word] for l in m],
-        }
-        for m, c in fs
-    ]
+def _json_list(items: list[str], pad: str) -> str:
+    """A list in json.dumps's indent=2 layout, at the depth whose indent is
+    pad, from its items' rendered text."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def write_formal_sum(fs: FormalSum, fmt: str = "json", head: dict | None = None,
+                     tail: dict | None = None) -> str:
+    """The formal sum as text, from one sorted pass over its terms that
+    renders each distinct loop once.
+
+    fmt "json" gives json.dumps({**head, "order": order, "terms": terms,
+    **tail}, indent=2) byte for byte, head and tail having string keys and
+    terms being [{"coeff": [p/q strings], "monomial": [[[arc id, "+" | "-"],
+    ...], ...]}, ...] in canonical term order.  fmt "text" gives the table
+    of a monomial column, as wide as its longest entry, and the coefficients
+    of h^0..h^order, or "0" for the zero sum, each line ending in a newline;
+    it takes no head or tail.  The text is joined once, from pieces that
+    are each at most one term long."""
+    if fmt == "text":
+        rows = [(monomial_text(m), " ".join(c.strings())) for m, c in fs]
+        if not rows:
+            return "0\n"
+        width = max(len(mono) for mono, _ in rows)
+        lines = [f"{'monomial'.ljust(width)}  coefficients of h^0..h^{fs.order}\n"]
+        lines += [f"{mono.ljust(width)}  {cs}\n" for mono, cs in rows]
+        return "".join(lines)
+    if fmt != "json":
+        raise DiagramError(f"unknown formal sum format {fmt!r}")
+
+    def fields(extra: dict | None) -> list[str]:
+        # a JSON string holds no raw newline, so each one starts a nested line
+        return [json.dumps(k) + ": " + json.dumps(v, indent=2).replace("\n", "\n  ") for k, v in (extra or {}).items()]
+
+    out = ["{\n  " + ",\n  ".join([*fields(head), f'"order": {fs.order}', '"terms": ['])]
+    entries: dict[WordEntry, str] = {}
+    loops: dict[Loop, str] = {}
+    sep = "\n    "
+    for m, c in fs:
+        parts = []
+        for l in m:
+            text = loops.get(l)
+            if text is None:
+                word = []
+                for e in l.word:
+                    entry = entries.get(e)
+                    if entry is None:
+                        a, d = e
+                        entry = entries[e] = _json_list([json.dumps(a.id), '"+"' if d == 1 else '"-"'], " " * 10)
+                    word.append(entry)
+                text = loops[l] = _json_list(word, " " * 8)
+            parts.append(text)
+        coeff = _json_list([f'"{x}"' for x in c.strings()], " " * 6)
+        out.append(f'{sep}{{\n      "coeff": {coeff},\n      "monomial": {_json_list(parts, " " * 6)}\n    }}')
+        sep = ",\n    "
+    out.append("\n  ]" if fs.terms else "]")
+    out += [",\n  " + f for f in fields(tail)]
+    out.append("\n}")
+    return "".join(out)
 
 
 def formal_sum_to_json(fs: FormalSum) -> str:
-    return json.dumps({"order": fs.order, "terms": formal_sum_terms(fs)}, indent=2)
+    return write_formal_sum(fs)
 
 
 _DIRECTIONS = {"+": 1, "-": -1}

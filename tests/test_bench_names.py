@@ -76,3 +76,25 @@ def test_workload_name_resolves(key):
     for attr in path.split("."):
         assert hasattr(owner, attr), key
         owner = getattr(owner, attr)
+
+
+@pytest.mark.parametrize("verb", ["star", "bracket"])
+def test_cli_writes_through_the_traced_writer_once(verb, monkeypatch, capsys):
+    """bench/tracer.py charges the diagram.json layer to cli._formal_sum_payload:
+    a CLI call that wrote its output some other way would leave that layer
+    reading zero."""
+    cli = importlib.import_module("loopstar.cli")
+    calls = []
+    writer = cli._formal_sum_payload
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return writer(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_formal_sum_payload", counted)
+    diagram = BENCH.parent / "diagrams" / "two_crossing.ls"
+    assert cli.main([verb, str(diagram)]) == 0
+    assert capsys.readouterr().out.startswith("{")
+    assert len(calls) == 1
+    assert cli.main([verb, "--format", "text", str(diagram)]) == 0
+    assert len(calls) == 2

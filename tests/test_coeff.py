@@ -147,6 +147,16 @@ def test_eval_h_is_the_fraction_horner_loop_bit_for_bit(a, h):
     assert (got.real, got.imag) == (want.real, want.imag)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.lists(
+    st.one_of(wide_rationals, st.integers(-(10**40), 10**40), st.integers(-3, 3)), min_size=n + 1, max_size=n + 1)))
+def test_strings_are_the_fraction_strings(a):
+    """strings() formats p/q from num and den with its own gcd; it must give
+    the bytes of str(Fraction), integers and zero as "p" without "/1"."""
+    x = SeriesCoeff(a)
+    assert x.strings() == [str(Fraction(p, x.den)) for p in x.num] == [str(Fraction(c)) for c in a]
+
+
 @settings(max_examples=30, deadline=None)
 @given(same_order_pairs, st.integers(1, 3))
 def test_kernel_rejects_mismatched_orders(pair, extra):

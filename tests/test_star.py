@@ -287,12 +287,12 @@ def test_invalid_diagram_is_rejected_at_every_entry_point():
                 call()
 
 
-@pytest.mark.parametrize("arc", [Arc("C", 5), Arc("Z", 0), Arc("C", 0.5)],
-                         ids=["index-past-the-curve", "unknown-curve", "fractional-index"])
+@pytest.mark.parametrize("arc", [Arc("C", 5), Arc("Z", 0), Arc("C", 0.5), Arc("C", "0")],
+                         ids=["index-past-the-curve", "unknown-curve", "fractional-index", "string-index"])
 def test_an_arc_the_diagram_lacks_is_rejected_at_every_entry_point(arc):
-    """C has one arc and there is no curve Z: a loop through C.5, Z.0 or
-    C.0.5 is not a loop of the diagram, and no entry point may read it as C.0 or
-    fail with a KeyError.  (A star_complex factor of no terms reaches no
+    """C has one arc and there is no curve Z: a loop through C.5, Z.0,
+    C.0.5 or C."0" is not a loop of the diagram, and no entry point may read
+    it as C.0 or fail with a KeyError or a TypeError.  (A star_complex factor of no terms reaches no
     loop, so that call is left out.)"""
     su2, gl2 = GroupSpec("su2"), GroupSpec("gln", 2)
     d = parse_diagram(ONE)
