@@ -235,11 +235,16 @@ class FormalSum:
         return FormalSum({m: c * v for m, v in self.terms.items()}, order=self.order)
 
     def add_scaled(self, other: "FormalSum", c: SeriesCoeff) -> None:
-        """self += c * other, in place; no products when c is one, and a
-        plain copy into an empty sum of the same order."""
+        """self += c * other, in place; one product per distinct coefficient
+        of other, none when c is one, and a plain copy into an empty sum of
+        the same order."""
         if c.order != self.order or not c.is_one():
+            products: dict[SeriesCoeff, SeriesCoeff] = {}
             for m, v in other.terms.items():
-                self.add_term(m, c * v)
+                cv = products.get(v)
+                if cv is None:
+                    cv = products[v] = c * v
+                self.add_term(m, cv)
         elif not self.terms and other.order == self.order:
             self.terms.update(other.terms)
         else:
@@ -256,9 +261,12 @@ class FormalSum:
         return FormalSum({m: c.truncate(order) for m, c in self.terms.items()}, order=order)
 
     def mul_monomial(self, extra: Monomial) -> "FormalSum":
-        return FormalSum(
-            {monomial(m + extra): c for m, c in self.terms.items()}, order=self.order
-        )
+        """The sum with every monomial times extra.  Distinct monomials stay
+        distinct and every coefficient is already a nonzero series of the
+        sum's order, so the terms go straight into the dict."""
+        out = FormalSum(order=self.order)
+        out.terms = {monomial(m + extra): c for m, c in self.terms.items()}
+        return out
 
     def slot(self, k: int) -> dict[Monomial, Fraction]:
         """Coefficient of h^k per monomial; zero entries omitted."""
@@ -290,19 +298,30 @@ class Diagram:
 
     Treated as immutable after construction: all operations are pure and
     safe for concurrent use.  Build a new Diagram rather than mutating the
-    dicts, or the pass-slot index goes stale."""
+    dicts, or the entry tables go stale.  They hold only what the diagram
+    fixes: the end of every (arc, direction) entry, filled here, and the
+    entry ranks, filled on first use."""
 
     curves: dict[str, Curve] = field(default_factory=dict)
     points: dict[str, CrossingPoint] = field(default_factory=dict)
 
     def __post_init__(self):
         self._visits: dict[str, int] = dict.fromkeys(self.points, 0)
-        self._pass_slot: dict[tuple[str, int], tuple[str, int]] = {}
-        for c in self.curves.values():
+        # (arc, dir) -> the pass (point, slot) it ends at: arc i ends at
+        # pass i walked backwards and at pass i + 1 walked forwards.  A
+        # curve filed under a key other than its id is left out, for
+        # entry_end's checking path to answer as validate() sees it.
+        self._ends: dict[WordEntry, tuple[str, int] | None] = {}
+        for key, c in self.curves.items():
+            k = len(c.passes)
+            ends = self._ends if key == c.id else {}
             for pos, pid in enumerate(c.passes):
                 slot = self._visits.get(pid, 0)
                 self._visits[pid] = slot + 1
-                self._pass_slot[(c.id, pos)] = (pid, slot)
+                ends[Arc(key, (pos - 1) % k), 1] = ends[Arc(key, pos), -1] = (pid, slot)
+            if not k:
+                ends[Arc(key, 0), 1] = ends[Arc(key, 0), -1] = None
+        self._ranks: dict[WordEntry, int] | None = None
         self._valid = False
 
     def validate(self) -> list[str]:
@@ -353,6 +372,10 @@ class Diagram:
         """Pass (point, slot) at which a directed word entry terminates;
         None for the free arc of a pass-less curve.  An arc that is not one
         of the diagram's, or a direction other than +1 or -1, raises DiagramError."""
+        try:
+            return self._ends[e]
+        except (KeyError, TypeError):  # not an entry of the table, or not hashable: check it
+            pass
         arc, d = e
         curve = self.curves.get(arc.curve)
         try:
@@ -367,7 +390,14 @@ class Diagram:
         if k == 0:
             return None
         pos = (arc.index + 1) % k if d == 1 else arc.index
-        return self._pass_slot[(arc.curve, pos)]
+        return self._ends[Arc(arc.curve, pos), -1]
+
+    def entry_ranks(self) -> dict[WordEntry, int]:
+        """Rank of every (arc, dir) entry of the diagram in entry_key order,
+        so that ranks compare as the keys do; built on first use."""
+        if self._ranks is None:
+            self._ranks = {e: r for r, e in enumerate(sorted(self._ends, key=entry_key))}
+        return self._ranks
 
     # -- loops --------------------------------------------------------------
 
@@ -499,7 +529,17 @@ def write_formal_sum(fs: FormalSum, fmt: str = "json", head: dict | None = None,
     it takes no head or tail.  The text is joined once, from pieces that
     are each at most one term long."""
     if fmt == "text":
-        rows = [(monomial_text(m), " ".join(c.strings())) for m, c in fs]
+        # monomial_text's "W(loop)" pieces, each distinct loop's built once
+        names: dict[Loop, str] = {}
+        rows = []
+        for m, c in fs:
+            parts = []
+            for l in m:
+                name = names.get(l)
+                if name is None:
+                    name = names[l] = f"W({l})"
+                parts.append(name)
+            rows.append((" * ".join(parts) if m else "1", " ".join(c.strings())))
         if not rows:
             return "0\n"
         width = max(len(mono) for mono, _ in rows)

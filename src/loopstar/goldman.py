@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import DEFAULT_ORDER, GroupSpec
+from .coeff import DEFAULT_ORDER, GroupSpec, SeriesCoeff
 from .diagram import (
     Diagram,
     DiagramError,
@@ -36,9 +36,13 @@ def bracket_gln(d: Diagram, x: Loop, y: Loop, order: int = DEFAULT_ORDER) -> For
     """GL(n)/U(n) bracket: sum_i eps_i W_{x *_i y} (integer h^0 coefficients)."""
     d.require_valid()
     out = FormalSum.zero(order)
-    for pid, eps in d.crossings_between(x, y):
+    crossings = d.crossings_between(x, y)
+    if crossings:
+        one = SeriesCoeff.one(order)
+        signed = {1: one, -1: -one}
+    for pid, eps in crossings:
         joined = canonical(d.concat_at(x, y, pid).word, "oriented")
-        out.add_term(monomial([joined]), Fraction(eps))
+        out.add_term(monomial([joined]), signed[eps])
     return out
 
 
@@ -55,17 +59,21 @@ def bracket_sl2(
     out = FormalSum.zero(order)
     conv = "unoriented"
     crossings = d.crossings_between(x, y)
-    if crossings and form == "alt":
-        prod = monomial([canonical(x.word, conv), canonical(y.word, conv)])
+    if crossings:
+        one, half = SeriesCoeff.one(order), SeriesCoeff.constant(Fraction(1, 2), order)
+        signed = {1: one, -1: -one}
+        halves = {1: half, -1: -half}
+        if form == "alt":
+            prod = monomial([canonical(x.word, conv), canonical(y.word, conv)])
     for pid, eps in crossings:
         joined = canonical(d.concat_at(x, y, pid).word, conv)
         if form == "reversal":
             rev = canonical(d.concat_at(x, reverse(y), pid).word, conv)
-            out.add_term(monomial([joined]), Fraction(eps, 2))
-            out.add_term(monomial([rev]), Fraction(-eps, 2))
+            out.add_term(monomial([joined]), halves[eps])
+            out.add_term(monomial([rev]), halves[-eps])
         else:
-            out.add_term(monomial([joined]), Fraction(eps))
-            out.add_term(prod, Fraction(-eps, 2))
+            out.add_term(monomial([joined]), signed[eps])
+            out.add_term(prod, halves[-eps])
     return out
 
 
@@ -94,7 +102,9 @@ def bracket_poly(
     """Bilinear extension with the Leibniz rule over the loops of each
     monomial.  Loop pairs sharing arcs are rejected as non-transversal.
     The factors' coefficients are truncated to order.  Each distinct loop
-    pair is bracketed once per call."""
+    pair is bracketed once per call, each loop left beside the pair is
+    canonicalized once per call, and the factors' coefficient product is
+    formed once per pair of terms."""
     if order is None:
         order = f.order
     _require_form(form)
@@ -103,8 +113,10 @@ def bracket_poly(
     conv = group.convention
     out = FormalSum.zero(order)
     bases: dict[tuple[Loop, Loop], FormalSum] = {}
+    canon: dict[Loop, Loop] = {}
     for m, cm in f.terms.items():
         for mp, cmp_ in g.terms.items():
+            c = None
             for i, lx in enumerate(m):
                 rest_m = m[:i] + m[i + 1 :]
                 for j, ly in enumerate(mp):
@@ -114,7 +126,13 @@ def bracket_poly(
                         base = bases[lx, ly] = bracket_loops(d, lx, ly, group, form, order)
                     if base.is_zero():
                         continue
-                    extra = tuple(canonical(l.word, conv) for l in rest_m + rest_mp)
-                    out.add_scaled(base.mul_monomial(monomial(extra)), cm * cmp_)
+                    extra = []
+                    for l in rest_m + rest_mp:
+                        cl = canon.get(l)
+                        if cl is None:
+                            cl = canon[l] = canonical(l.word, conv)
+                        extra.append(cl)
+                    if c is None:
+                        c = cm * cmp_
+                    out.add_scaled(base.mul_monomial(monomial(extra)), c)
     return out
-

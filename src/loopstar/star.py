@@ -57,7 +57,6 @@ from .diagram import (
     Monomial,
     TransversalityError,
     canonical,
-    entry_key,
     least_form,
     monomial,
 )
@@ -109,12 +108,11 @@ class Stacked:
                     top, bottom = (c0, c1) if l0 > l1 else (c1, c0)
                     self.active.append(ActiveCrossing(pid, top, bottom, ctype))
         # entries of the doubled cells, cell c + n being cell c walked
-        # backwards, with entry_key ranks: canonical forms compare ints,
-        # not key tuples
+        # backwards, with the diagram's entry_key ranks: canonical forms
+        # compare ints, not key tuples
         fwd = [e for _, e in self.cells]
         self.entries = fwd + [(a, -dr) for a, dr in fwd]
-        ranks = {k: r for r, k in enumerate(sorted(set(map(entry_key, self.entries))))}
-        self.keys = [ranks[entry_key(e)] for e in self.entries]
+        self.keys = list(map(d.entry_ranks().__getitem__, self.entries))
         # per convention (oriented, unoriented), the (rank key, Loop) of
         # each cell cycle canonicalized so far, keyed by its cell sequence:
         # states share most of their cycles, so one state sum

@@ -350,6 +350,38 @@ def test_add_scaled_copies_only_a_sum_of_its_own_order():
     assert formal_sum_from_json(formal_sum_to_json(out)) == out
 
 
+def reference_ends(d: Diagram) -> dict:
+    """The end of every (arc, direction) entry, from the curves' passes:
+    slots counted in declaration order, arc i ending at pass i + 1 walked
+    forwards and at pass i walked backwards."""
+    visits: dict[str, int] = {}
+    ends = {}
+    for c in d.curves.values():
+        slots = []
+        for pid in c.passes:
+            slots.append((pid, visits.get(pid, 0)))
+            visits[pid] = visits.get(pid, 0) + 1
+        k = len(c.passes)
+        for i in range(max(k, 1)):
+            ends[Arc(c.id, i), 1] = slots[(i + 1) % k] if k else None
+            ends[Arc(c.id, i), -1] = slots[i] if k else None
+    return ends
+
+
+def test_entry_tables_match_the_passes():
+    """entry_end of every entry, and the rank table's order, on random
+    diagrams with a pass-less curve added."""
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        r = random_diagram(rng, n_curves=int(rng.integers(2, 5)))
+        d = Diagram(curves={**r.curves, "E": Curve("E", ())}, points=r.points)
+        ends = reference_ends(d)
+        assert {e: d.entry_end(e) for e in ends} == ends
+        ranks = d.entry_ranks()
+        assert set(ranks) == set(ends)
+        assert sorted(ranks, key=ranks.__getitem__) == sorted(ends, key=entry_key)
+
+
 def test_formal_sum_slot():
     fs = FormalSum(order=3)
     d = parse_diagram(ONE_CROSSING)

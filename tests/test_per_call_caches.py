@@ -2,7 +2,10 @@
 their loops as one stacked product with one row per distinct loop,
 bracket_poly brackets each distinct loop pair once, and a state sum
 canonicalizes each distinct cell cycle once.  Nothing computed for one call
-is reused by another.
+is reused by another, except a Diagram's two entry tables: the end of each
+(arc, direction) entry and the entry ranks.  They hold only what the
+diagram fixes, so every call leaves them as a freshly parsed diagram has
+them.
 
 The counters replace the module attributes that loopstar calls through at
 run time (holonomy._wilson_values, goldman.bracket_loops, star.least_form,
@@ -161,3 +164,30 @@ def test_state_sum_canonicalizes_each_distinct_cycle_once_per_call(group, monkey
         assert len(calls) == len(set(cycles)) < len(cycles)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def diagram_text(d) -> str:
+    return "".join(f"point {p.id} {'+' if p.sign > 0 else '-'}\n" for p in d.points.values()) + "".join(
+        f"curve {c.id} level {c.level}: {' '.join(c.passes)}\n" for c in d.curves.values())
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+def test_calls_leave_the_diagram_as_a_fresh_parse_has_it(group):
+    """After star, bracket_poly and eval_formal, every attribute of the
+    diagram, its entry tables included, equals that of a fresh parse of the
+    same text once that one is validated and ranked too."""
+    text = diagram_text(random_diagram(np.random.default_rng(0), n_curves=4))
+    d = parse_diagram(text)
+    conv = group.convention
+    u, v, w, x = (FormalSum.of(monomial([canonical(d.loop_of(c).word, conv)]), ORDER) for c in d.curves)
+    uvw = star(d, star(d, u, v, group, ORDER), w, group, ORDER)
+    full = star(d, uvw, x, group, ORDER)
+    br = goldman.bracket_poly(d, uvw, x, group)
+    assign = random_assignment(d, group, np.random.default_rng(1))
+    eval_formal(full, assign, BETA)
+    eval_formal(br, assign, BETA)
+    fresh = parse_diagram(text)
+    fresh.require_valid()
+    fresh.entry_ranks()
+    assert vars(d) == vars(fresh)
+    assert list(d.entry_ranks().items()) == list(fresh.entry_ranks().items())

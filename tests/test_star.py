@@ -331,9 +331,34 @@ def test_a_direction_other_than_plus_or_minus_one_is_rejected():
 
 
 def test_a_bool_direction_or_index_keeps_its_answer():
+    """An index or a flag that equals an int (a bool, or the float 1.0)
+    reads as that int: at entry_end, and in a star product, a bracket and
+    a state sum of a loop that runs through it."""
     d = parse_diagram("point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\n")
-    for arc, flag in ((Arc("C", True), True), (Arc("C", False), 1), (Arc("D", 1), True)):
-        assert d.entry_end((arc, flag)) == d.entry_end((Arc(arc.curve, int(arc.index)), 1))
+    gl2, su2 = GroupSpec("gln", 2), GroupSpec("su2")
+    for arc, flag in ((Arc("C", True), True), (Arc("C", False), 1), (Arc("D", 1), True),
+                      (Arc("C", 1.0), 1), (Arc("C", 1.0), True)):
+        plain = (Arc(arc.curve, int(arc.index)), 1)
+        assert d.entry_end((arc, flag)) == d.entry_end(plain)
+        word = d.loop_of(arc.curve).word
+        x = Loop(tuple((arc, flag) if e == plain else e for e in word))
+        y = d.loop_of("D" if arc.curve == "C" else "C")
+        for group in (gl2, su2):
+            assert star_loops(d, x, y, group, 2) == star_loops(d, Loop(word), y, group, 2)
+            assert bracket_loops(d, x, y, group) == bracket_loops(d, Loop(word), y, group)
+            assert expect_loops(d, [(x, 1), (y, -1)], group, 2) == expect_loops(d, [(Loop(word), 1), (y, -1)], group, 2)
+
+
+def test_an_entry_that_cannot_be_hashed_keeps_its_answer():
+    """entry_end answers an entry it cannot look up as it answers any
+    other: a list index or flag is refused with DiagramError, and a list
+    entry that holds a valid arc and flag is read as that entry."""
+    d = parse_diagram("point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\n")
+    with pytest.raises(DiagramError, match=re.escape("arc C.[0] is not an arc of the diagram")):
+        d.entry_end((Arc("C", [0]), 1))
+    with pytest.raises(DiagramError, match=re.escape("arc C.0: direction [1] is not +1 or -1")):
+        d.entry_end((Arc("C", 0), [1]))
+    assert d.entry_end([Arc("C", 0), 1]) == d.entry_end((Arc("C", 0), 1)) == ("b", 0)
 
 
 # -- poisson limit ----------------------------------------------------------------
