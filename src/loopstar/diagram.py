@@ -235,21 +235,18 @@ class FormalSum:
         return FormalSum({m: c * v for m, v in self.terms.items()}, order=self.order)
 
     def add_scaled(self, other: "FormalSum", c: SeriesCoeff) -> None:
-        """self += c * other, in place; one product per distinct coefficient
-        of other, none when c is one, and a plain copy into an empty sum of
-        the same order."""
-        if c.order != self.order or not c.is_one():
-            products: dict[SeriesCoeff, SeriesCoeff] = {}
-            for m, v in other.terms.items():
-                cv = products.get(v)
-                if cv is None:
-                    cv = products[v] = c * v
-                self.add_term(m, cv)
-        elif not self.terms and other.order == self.order:
+        """self += c * other, in place: a plain copy into an empty sum when
+        c is one and the orders agree, else one product per distinct
+        coefficient of other."""
+        if not self.terms and c.is_one() and c.order == self.order == other.order:
             self.terms.update(other.terms)
-        else:
-            for m, v in other.terms.items():
-                self.add_term(m, v)
+            return
+        products: dict[SeriesCoeff, SeriesCoeff] = {}
+        for m, v in other.terms.items():
+            cv = products.get(v)
+            if cv is None:
+                cv = products[v] = c * v
+            self.add_term(m, cv)
 
     def truncated(self, order: int) -> "FormalSum":
         """The sum with its coefficients cut to h^order; self when it is
@@ -261,11 +258,10 @@ class FormalSum:
         return FormalSum({m: c.truncate(order) for m, c in self.terms.items()}, order=order)
 
     def mul_monomial(self, extra: Monomial) -> "FormalSum":
-        """The sum with every monomial times extra.  Distinct monomials stay
-        distinct and every coefficient is already a nonzero series of the
-        sum's order, so the terms go straight into the dict."""
+        """The sum with every monomial times extra, equal products merged."""
         out = FormalSum(order=self.order)
-        out.terms = {monomial(m + extra): c for m, c in self.terms.items()}
+        for m, c in self.terms.items():
+            out.add_term(monomial(m + extra), c)
         return out
 
     def slot(self, k: int) -> dict[Monomial, Fraction]:
@@ -299,8 +295,8 @@ class Diagram:
     Treated as immutable after construction: all operations are pure and
     safe for concurrent use.  Build a new Diagram rather than mutating the
     dicts, or the entry tables go stale.  They hold only what the diagram
-    fixes: the end of every (arc, direction) entry, filled here, and the
-    entry ranks, filled on first use."""
+    fixes, both filled here: the end of every (arc, direction) entry, each
+    curve's arcs named by its dict key, and the entry ranks."""
 
     curves: dict[str, Curve] = field(default_factory=dict)
     points: dict[str, CrossingPoint] = field(default_factory=dict)
@@ -308,20 +304,17 @@ class Diagram:
     def __post_init__(self):
         self._visits: dict[str, int] = dict.fromkeys(self.points, 0)
         # (arc, dir) -> the pass (point, slot) it ends at: arc i ends at
-        # pass i walked backwards and at pass i + 1 walked forwards.  A
-        # curve filed under a key other than its id is left out, for
-        # entry_end's checking path to answer as validate() sees it.
+        # pass i walked backwards and at pass i + 1 walked forwards
         self._ends: dict[WordEntry, tuple[str, int] | None] = {}
         for key, c in self.curves.items():
             k = len(c.passes)
-            ends = self._ends if key == c.id else {}
             for pos, pid in enumerate(c.passes):
                 slot = self._visits.get(pid, 0)
                 self._visits[pid] = slot + 1
-                ends[Arc(key, (pos - 1) % k), 1] = ends[Arc(key, pos), -1] = (pid, slot)
+                self._ends[Arc(key, (pos - 1) % k), 1] = self._ends[Arc(key, pos), -1] = (pid, slot)
             if not k:
-                ends[Arc(key, 0), 1] = ends[Arc(key, 0), -1] = None
-        self._ranks: dict[WordEntry, int] | None = None
+                self._ends[Arc(key, 0), 1] = self._ends[Arc(key, 0), -1] = None
+        self._ranks = {e: r for r, e in enumerate(sorted(self._ends, key=entry_key))}
         self._valid = False
 
     def validate(self) -> list[str]:
@@ -361,9 +354,10 @@ class Diagram:
     # -- arcs ---------------------------------------------------------------
 
     def arcs_of(self, curve_id: str) -> list[Arc]:
-        c = self.curves[curve_id]
-        k = len(c.passes)
-        return [Arc(curve_id, i) for i in range(max(k, 1))]
+        c = self.curves.get(curve_id)
+        if c is None:
+            raise DiagramError(f"unknown curve {curve_id!r}")
+        return [Arc(curve_id, i) for i in range(max(len(c.passes), 1))]
 
     def all_arcs(self) -> list[Arc]:
         return [a for cid in self.curves for a in self.arcs_of(cid)]
@@ -374,29 +368,21 @@ class Diagram:
         of the diagram's, or a direction other than +1 or -1, raises DiagramError."""
         try:
             return self._ends[e]
-        except (KeyError, TypeError):  # not an entry of the table, or not hashable: check it
-            pass
-        arc, d = e
-        curve = self.curves.get(arc.curve)
+        except (KeyError, TypeError):  # not an entry of the table, or not hashable
+            arc, d = e
         try:
-            foreign = curve is None or not 0 <= arc.index < max(len(curve.passes), 1) or arc.index % 1
-        except TypeError:  # an index that does not compare or divide as a number, such as "0"
-            foreign = True
-        if foreign:
+            known = (arc, 1) in self._ends
+        except TypeError:  # an arc that cannot be hashed, such as C.[0]
+            known = False
+        if not known:
             raise DiagramError(f"arc {arc.id} is not an arc of the diagram")
         if d not in (1, -1):
             raise DiagramError(f"arc {arc.id}: direction {d!r} is not +1 or -1")
-        k = len(curve.passes)
-        if k == 0:
-            return None
-        pos = (arc.index + 1) % k if d == 1 else arc.index
-        return self._ends[Arc(arc.curve, pos), -1]
+        return self._ends[arc, d]  # an entry given as a list, such as [C.0, 1]
 
     def entry_ranks(self) -> dict[WordEntry, int]:
         """Rank of every (arc, dir) entry of the diagram in entry_key order,
-        so that ranks compare as the keys do; built on first use."""
-        if self._ranks is None:
-            self._ranks = {e: r for r, e in enumerate(sorted(self._ends, key=entry_key))}
+        so that ranks compare as the keys do."""
         return self._ranks
 
     # -- loops --------------------------------------------------------------
@@ -426,7 +412,10 @@ class Diagram:
         sign, as does reading the slot-1 strand first.  The bracket's eps
         and the star product's over/under both read this one rule.
         """
-        eps = self.points[pid].sign * d0 * d1
+        point = self.points.get(pid)
+        if point is None:
+            raise DiagramError(f"unknown crossing point {pid!r}")
+        eps = point.sign * d0 * d1
         return eps if slot0_first else -eps
 
     def crossings_between(self, x: Loop, y: Loop) -> list[tuple[str, int]]:

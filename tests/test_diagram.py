@@ -145,6 +145,35 @@ def test_a_dict_key_that_is_not_its_values_id_is_invalid():
     assert d.validate()[0] == "point key 'q' holds point 'p'"
 
 
+def test_a_curve_filed_under_another_key_answers_by_its_key():
+    """The methods that do not validate read a curve's arcs by its dict
+    key, as the diagram whose curve ids are the keys does; an arc named by
+    the curve's own id is not one of the diagram's.  None raises KeyError."""
+    points = {"p": CrossingPoint("p", 1), "q": CrossingPoint("q", -1)}
+    d = Diagram(curves={"X": Curve("C", ("p", "q")), "Y": Curve("D", ("q", "p"))}, points=points)
+    same = Diagram(curves={"X": Curve("X", ("p", "q")), "Y": Curve("Y", ("q", "p"))}, points=points)
+    x, y = d.loop_of("X"), d.loop_of("Y")
+    assert (x, y) == (same.loop_of("X"), same.loop_of("Y"))
+    assert d.entry_end((Arc("X", 0), 1)) == same.entry_end((Arc("X", 0), 1)) == ("q", 0)
+    assert d.loop_gaps(x) == same.loop_gaps(x) == [(0, "q", 0, 1), (1, "p", 0, 1)]
+    assert d.crossings_between(x, y) == same.crossings_between(x, y) == [("p", 1), ("q", -1)]
+    assert d.concat_at(x, y, "p") == same.concat_at(x, y, "p")
+    with pytest.raises(DiagramError, match=r"^arc C\.0 is not an arc of the diagram$"):
+        d.entry_end((Arc("C", 0), 1))
+    with pytest.raises(DiagramError, match=r"^arc C\.0 is not an arc of the diagram$"):
+        d.loop_gaps(Loop(((Arc("C", 0), 1),)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: d.loop_of("Z"), "unknown curve 'Z'"),
+    (lambda d: d.arcs_of("Z"), "unknown curve 'Z'"),
+    (lambda d: d.crossing_sign("q", 1, 1, True), "unknown crossing point 'q'"),
+], ids=["loop_of", "arcs_of", "crossing_sign"])
+def test_an_unknown_id_is_a_domain_error(call, message):
+    with pytest.raises(DiagramError, match=f"^{message}$"):
+        call(parse_diagram(ONE_CROSSING))
+
+
 GOLDEN_SIX = """\
 point s4 -
 point s5 -
@@ -348,6 +377,25 @@ def test_add_scaled_copies_only_a_sum_of_its_own_order():
     out.add_scaled(FormalSum.of(m, 4), SeriesCoeff.one(4))
     assert out == FormalSum.of(m, 4)
     assert formal_sum_from_json(formal_sum_to_json(out)) == out
+
+
+def test_add_scaled_by_one_into_a_sum_with_terms_adds_each_term():
+    d = parse_diagram(ONE_CROSSING)
+    c, dd = monomial([d.loop_of("C")]), monomial([d.loop_of("D")])
+    out = FormalSum({c: 2, dd: -1}, 4)
+    out.add_scaled(FormalSum({dd: 1, c: 3}, 4), SeriesCoeff.one(4))
+    assert list(out.terms.items()) == [(c, SeriesCoeff.constant(5, 4))]
+    with pytest.raises(CoeffError):
+        out.add_scaled(FormalSum.of(c, 8), SeriesCoeff.one(4))
+
+
+def test_mul_monomial_adds_the_terms_it_makes_one():
+    """Two keys that hold one monomial in two orders become one key times
+    the extra loop, whose coefficient is their sum."""
+    d = parse_diagram(ONE_CROSSING)
+    a, b, e = d.loop_of("C"), d.loop_of("D"), Loop(((Arc("C", 0), -1),))
+    out = FormalSum({(b, a): 1, (a, b): 2}, 2).mul_monomial((e,))
+    assert out.terms == {monomial([a, b, e]): SeriesCoeff.constant(3, 2)}
 
 
 def reference_ends(d: Diagram) -> dict:

@@ -361,6 +361,37 @@ def test_an_entry_that_cannot_be_hashed_keeps_its_answer():
     assert d.entry_end([Arc("C", 0), 1]) == d.entry_end((Arc("C", 0), 1)) == ("b", 0)
 
 
+@pytest.mark.parametrize("entry, answer", [
+    ((Arc("Z", 0), 0), "arc Z.0 is not an arc of the diagram"),
+    ((Arc("C", 1.0), 2), "arc C.1.0: direction 2 is not +1 or -1"),
+    ((Arc("C", "0"), 1), "arc C.0 is not an arc of the diagram"),
+    ((Arc("C", 0.5), 1), "arc C.0.5 is not an arc of the diagram"),
+    ((Arc("C", 0), "1"), "arc C.0: direction '1' is not +1 or -1"),
+    ((Arc("C", -1), 1), "arc C.-1 is not an arc of the diagram"),
+    ((Arc("C", 2), -1), "arc C.2 is not an arc of the diagram"),
+    ((Arc("C", 1), -1), ("b", 0)),
+    ([Arc("D", 0.0), -1.0], ("b", 1)),
+    ((Arc("E", 0), 1), None),
+    ((Arc("E", 0.0), True), None),
+    ((Arc("E", 0), -1), None),
+    ((Arc("E", 1), 1), "arc E.1 is not an arc of the diagram"),
+    ((Arc("E", 0), 2), "arc E.0: direction 2 is not +1 or -1"),
+], ids=["foreign-arc-and-direction", "float-index-bad-direction", "string-index", "fractional-index",
+        "string-flag", "negative-index", "index-past-the-curve", "reversed", "list-of-floats",
+        "pass-less", "pass-less-float-and-bool", "pass-less-reversed", "pass-less-index-1",
+        "pass-less-bad-direction"])
+def test_entry_end_pins_its_answer(entry, answer):
+    """entry_end's answer for each entry, the pass (point, slot) or the
+    DiagramError message, on C and D crossing twice plus a pass-less curve
+    E.  A foreign arc is reported before a bad direction."""
+    d = parse_diagram("point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\ncurve E level 2:\n")
+    if isinstance(answer, str):
+        with pytest.raises(DiagramError, match=f"^{re.escape(answer)}$"):
+            d.entry_end(entry)
+    else:
+        assert d.entry_end(entry) == answer
+
+
 # -- poisson limit ----------------------------------------------------------------
 
 
