@@ -56,9 +56,7 @@ for kind in ("gln", "su2", "sl2r"):
     A = random_assignment(d, group, rng)
     basis = lie_basis(group)
     direct = 0j
-    for pid, eps in d.crossings_between(C, D):
-        gx = next(gi for gi, p, _, _ in d.loop_gaps(C) if p == pid)
-        gy = next(gi for gi, p, _, _ in d.loop_gaps(D) if p == pid)
+    for _, eps, gx, gy in d.crossings_between(C, D):
         direct += eps * gram_pairing(group, loop_matrix(C, A, gx), loop_matrix(D, A, gy), basis)
     conv = group.convention
     f = FormalSum.of(monomial([canonical(C.word, conv)]), 4)

@@ -31,7 +31,6 @@ from .diagram import (
     formal_sum_to_json,
     monomial,
     parse_diagram,
-    reverse,
 )
 from .goldman import bracket_gln, bracket_loops, bracket_poly, bracket_sl2
 from .star import (

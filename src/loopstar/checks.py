@@ -199,11 +199,10 @@ def check_trace_identities(seed: int = 0) -> CheckResult:
 
 def _bracket_direct_value(d, x, y, group, assign, basis):
     """Per-point functional-derivative sum: the bracket oracle."""
-    gx, gy = ({p: g for g, p, _, _ in d.loop_gaps(loop)} for loop in (x, y))
     total = 0j
-    for pid, eps in d.crossings_between(x, y):
-        hx = holonomy.loop_matrix(x, assign, base_gap=gx[pid])
-        hy = holonomy.loop_matrix(y, assign, base_gap=gy[pid])
+    for _, eps, gx, gy in d.crossings_between(x, y):
+        hx = holonomy.loop_matrix(x, assign, base_gap=gx)
+        hy = holonomy.loop_matrix(y, assign, base_gap=gy)
         total += eps * holonomy.gram_pairing(group, hx, hy, basis)
     return total
 

@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .coeff import CoeffError, SeriesCoeff, DEFAULT_ORDER, check_order
 
@@ -165,11 +165,6 @@ def canonical(word: Iterable[WordEntry], convention: str = "oriented") -> Loop:
     return Loop(seq[start:] + seq[:start])
 
 
-def reverse(loop: Loop) -> Loop:
-    """The loop with orientation reversed (direction flags flipped)."""
-    return Loop(reverse_word(loop.word))
-
-
 # Monomial: multiset of loops as a sorted tuple.
 Monomial = tuple[Loop, ...]
 
@@ -287,16 +282,24 @@ class FormalSum:
         return "FormalSum(" + " + ".join(bits) + ")"
 
 
+def level_error(level) -> str | None:
+    """What is wrong with a curve's or a state sum's stacking level, or None.
+    NaN, the one float that does not equal itself, does not order."""
+    if not (isinstance(level, (int, float)) and level == level):
+        return f"level must be an int or a float other than NaN, got {level!r}"
+
+
 @dataclass
 class Diagram:
     """Crossing points plus curves; pass slots are assigned in declaration
-    order (first visit of a point = slot 0, second = slot 1).
+    order (first visit of a point = slot 0, second = slot 1).  meetings()
+    pairs the strands of loops at each point, for the bracket and the star.
 
     Treated as immutable after construction: all operations are pure and
     safe for concurrent use.  Build a new Diagram rather than mutating the
-    dicts, or the entry tables go stale.  They hold only what the diagram
-    fixes, both filled here: the end of every (arc, direction) entry, each
-    curve's arcs named by its dict key, and the entry ranks."""
+    dicts, or the tables go stale.  They hold only what the diagram fixes,
+    all filled here: the end of every (arc, direction) entry, each curve's
+    arcs named by its dict key, the sorted point ids and the entry ranks."""
 
     curves: dict[str, Curve] = field(default_factory=dict)
     points: dict[str, CrossingPoint] = field(default_factory=dict)
@@ -307,6 +310,8 @@ class Diagram:
         # pass i walked backwards and at pass i + 1 walked forwards
         self._ends: dict[WordEntry, tuple[str, int] | None] = {}
         for key, c in self.curves.items():
+            if not (isinstance(key, str) and isinstance(c.id, str)):  # before the rank sort
+                raise DiagramError(f"curve key {key!r} and id {c.id!r} must be strings")
             k = len(c.passes)
             for pos, pid in enumerate(c.passes):
                 slot = self._visits.get(pid, 0)
@@ -314,6 +319,7 @@ class Diagram:
                 self._ends[Arc(key, (pos - 1) % k), 1] = self._ends[Arc(key, pos), -1] = (pid, slot)
             if not k:
                 self._ends[Arc(key, 0), 1] = self._ends[Arc(key, 0), -1] = None
+        self._order = sorted(self.points)
         self._ranks = {e: r for r, e in enumerate(sorted(self._ends, key=entry_key))}
         self._valid = False
 
@@ -324,9 +330,7 @@ class Diagram:
         means ok."""
         errors = [f"curve key {k!r} holds curve {c.id!r}" for k, c in self.curves.items() if k != c.id]
         errors += [f"point key {k!r} holds point {p.id!r}" for k, p in self.points.items() if k != p.id]
-        # NaN is the one float that does not equal itself
-        errors += [f"curve {c.id}: level must be an int or a float other than NaN, got {c.level!r}"
-                   for c in self.curves.values() if not isinstance(c.level, (int, float)) or c.level != c.level]
+        errors += [f"curve {c.id}: {level_error(c.level)}" for c in self.curves.values() if level_error(c.level)]
         for c in self.curves.values():
             for pid in c.passes:
                 if pid not in self.points:
@@ -393,16 +397,6 @@ class Diagram:
         rotation of its reversal, whose entries all sort after it."""
         return canonical((a, 1) for a in self.arcs_of(curve_id))
 
-    def loop_gaps(self, loop: Loop) -> list[tuple[int, str, int, int]]:
-        """Crossing passes of a loop: (gap index, point, arriving slot,
-        arriving direction).  Gap g sits between word entries g and g+1."""
-        out = []
-        for g, e in enumerate(loop.word):
-            end = self.entry_end(e)
-            if end is not None:
-                out.append((g, end[0], end[1], e[1]))
-        return out
-
     def crossing_sign(self, pid: str, d0: int, d1: int, slot0_first: bool) -> int:
         """Sign of point pid for an ordered pair of strands through it, d0
         and d1 being the directions of its slot-0 and slot-1 strands.
@@ -418,38 +412,42 @@ class Diagram:
         eps = point.sign * d0 * d1
         return eps if slot0_first else -eps
 
-    def crossings_between(self, x: Loop, y: Loop) -> list[tuple[str, int]]:
-        """Crossing points with one pass in x and the other in y, with the
-        crossing sign for the ordered pair (x, y)."""
+    def meetings(self, loops: Sequence[Loop]) -> list[tuple[str, tuple, tuple]]:
+        """Every pair of a slot-0 and a slot-1 strand of the loops through a
+        point, as (point, strand, strand) in point then word order; the one
+        place that pairs passes.  A strand is (loop, cell, direction), cell
+        indexing the entry arriving at the pass in the words joined."""
+        passes, ends, base = {}, self._ends, 0  # passes: (point, slot) -> its strands
+        for i, loop in enumerate(loops):
+            for cell, e in enumerate(loop.word, base):
+                try:
+                    end = ends[e]
+                except (KeyError, TypeError):  # entry_end raises, or reads a list entry
+                    end = self.entry_end(e)
+                if end is not None:
+                    passes.setdefault(end, []).append((i, cell, e[1]))
+            base += len(loop.word)
+        return [(pid, s0, s1) for pid in self._order
+                for s0 in passes.get((pid, 0), ()) for s1 in passes.get((pid, 1), ())]
+
+    def crossings_between(self, x: Loop, y: Loop) -> list[tuple[str, int, int, int]]:
+        """(point, sign for the ordered pair (x, y), gap of x, gap of y) of
+        each point one of whose passes is in x and the other in y, gap g
+        lying between word entries g and g + 1.  A point that x or y passes
+        more than once raises TransversalityError."""
         if set(a for a, _ in x.word) & set(a for a, _ in y.word):
             raise TransversalityError("loops overlap (shared arcs)")
-        gx = {(p, s): d for _, p, s, d in self.loop_gaps(x)}
-        gy = {(p, s): d for _, p, s, d in self.loop_gaps(y)}
+        met = self.meetings((x, y))
+        points = [pid for pid, _, _ in met]
         out = []
-        for pid in sorted(self.points):
-            p0, p1 = (pid, 0), (pid, 1)
-            if p0 in gx and p1 in gy:
-                out.append((pid, self.crossing_sign(pid, gx[p0], gy[p1], True)))
-            if p1 in gx and p0 in gy:
-                out.append((pid, self.crossing_sign(pid, gy[p0], gx[p1], False)))
+        for pid, (i0, c0, d0), (i1, c1, d1) in met:
+            if i0 == i1:
+                continue
+            if points.count(pid) > 1:
+                raise TransversalityError(f"point {pid} is not an inter-loop crossing of the arguments")
+            gx, gy = (c0, c1 - len(x)) if i0 == 0 else (c1, c0 - len(x))
+            out.append((pid, self.crossing_sign(pid, d0, d1, i0 == 0), gx, gy))
         return out
-
-    def concat_at(self, x: Loop, y: Loop, point_id: str) -> Loop:
-        """Concatenation x *_p y: traverse x from p around to p, then y.
-
-        Requires p to be an inter-loop crossing (one pass in each loop).
-        The evaluation contract is tr(hol_{x,p} hol_{y,p}).
-        """
-        gaps = [[g for g, p, _, _ in self.loop_gaps(loop) if p == point_id] for loop in (x, y)]
-        if [len(gs) for gs in gaps] != [1, 1]:
-            raise TransversalityError(
-                f"point {point_id} is not an inter-loop crossing of the arguments"
-            )
-        (gx,), (gy,) = gaps
-        wx, wy = x.word, y.word
-        rot_x = wx[gx + 1 :] + wx[: gx + 1]
-        rot_y = wy[gy + 1 :] + wy[: gy + 1]
-        return Loop(rot_x + rot_y)
 
 
 # -- text format -------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Poisson bracket of Wilson-loop polynomials as formal sums.
 
-The bracket of two loops is a signed sum over their intersection points of
-concatenated loops; for the rank-2 groups the concatenation comes with either
-the reversed-partner correction (reversal form) or the product-term
-correction (alt form), which agree as functions but not as formal sums.
-Monomials extend by the Leibniz rule.
+The bracket of two loops is a signed sum over their intersection points p
+of the concatenations x *_p y, x's word from its gap at p, as
+Diagram.crossings_between reports it, followed by y's; for the rank-2 groups
+it comes with either the reversed-partner correction (reversal form) or the
+product-term correction (alt form), which agree as functions but not as
+formal sums.  Monomials extend by the Leibniz rule.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .diagram import (
     Loop,
     canonical,
     monomial,
-    reverse,
+    reverse_word,
 )
 
 # The printed forms of the rank-2 bracket; gl(n)/u(n) have one bracket,
@@ -32,6 +33,10 @@ def _require_form(form: str) -> None:
         raise DiagramError(f"form must be {' or '.join(map(repr, FORMS))}, got {form!r}")
 
 
+def _rotated(loop: Loop, gap: int) -> tuple:
+    return loop.word[gap + 1 :] + loop.word[: gap + 1]  # the word from its gap on
+
+
 def bracket_gln(d: Diagram, x: Loop, y: Loop, order: int = DEFAULT_ORDER) -> FormalSum:
     """GL(n)/U(n) bracket: sum_i eps_i W_{x *_i y} (integer h^0 coefficients)."""
     d.require_valid()
@@ -40,8 +45,8 @@ def bracket_gln(d: Diagram, x: Loop, y: Loop, order: int = DEFAULT_ORDER) -> For
     if crossings:
         one = SeriesCoeff.one(order)
         signed = {1: one, -1: -one}
-    for pid, eps in crossings:
-        joined = canonical(d.concat_at(x, y, pid).word, "oriented")
+    for _, eps, gx, gy in crossings:
+        joined = canonical(_rotated(x, gx) + _rotated(y, gy), "oriented")
         out.add_term(monomial([joined]), signed[eps])
     return out
 
@@ -65,14 +70,15 @@ def bracket_sl2(
         halves = {1: half, -1: -half}
         if form == "alt":
             prod = monomial([canonical(x.word, conv), canonical(y.word, conv)])
-    for pid, eps in crossings:
-        joined = canonical(d.concat_at(x, y, pid).word, conv)
+    for _, eps, gx, gy in crossings:
+        rx, ry = _rotated(x, gx), _rotated(y, gy)
+        joined = monomial([canonical(rx + ry, conv)])
         if form == "reversal":
-            rev = canonical(d.concat_at(x, reverse(y), pid).word, conv)
-            out.add_term(monomial([joined]), halves[eps])
-            out.add_term(monomial([rev]), halves[-eps])
+            # reverse(y) from its gap at p is the reversal of ry
+            out.add_term(joined, halves[eps])
+            out.add_term(monomial([canonical(rx + reverse_word(ry), conv)]), halves[-eps])
         else:
-            out.add_term(monomial([joined]), signed[eps])
+            out.add_term(joined, signed[eps])
             out.add_term(prod, halves[-eps])
     return out
 

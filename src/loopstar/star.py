@@ -36,9 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations, compress, product
-from operator import itemgetter, mul
-from typing import Iterator, Mapping, Sequence
+from itertools import accumulate, combinations, compress, product, repeat
+from operator import index, itemgetter, mul
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .coeff import (
     DEFAULT_ORDER,
@@ -58,6 +58,7 @@ from .diagram import (
     TransversalityError,
     canonical,
     least_form,
+    level_error,
     monomial,
 )
 from . import goldman
@@ -67,8 +68,7 @@ class StarError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ActiveCrossing:
+class ActiveCrossing(NamedTuple):
     point: str
     cell_top: int
     cell_bottom: int
@@ -82,35 +82,29 @@ class Stacked:
 
     def __init__(self, d: Diagram, leveled: Sequence[tuple[Loop, int]]):
         d.require_valid()
-        self.cells: list[tuple[int, tuple]] = []  # (instance, word entry)
-        self.succ: list[int] = []
-        by_pass: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
-        for inst, (loop, _level) in enumerate(leveled):
-            base = len(self.cells)
-            m = len(loop.word)
-            for i, e in enumerate(loop.word):
-                end = d.entry_end(e)
-                if end is not None:
-                    by_pass.setdefault(end, []).append((base + i, e[1], inst))
-                self.cells.append((inst, e))
-                self.succ.append(base + (i + 1) % m)
+        levels = [level for _, level in leveled]
+        for level in levels:
+            if level_error(level):
+                raise StarError(level_error(level))
+        self.cells, self.succ, fwd = [], [], []  # a cell is (instance, word entry)
+        for inst, (loop, _) in enumerate(leveled):
+            base, m = len(fwd), len(loop.word)
+            fwd += loop.word
+            self.cells += zip(repeat(inst), loop.word)
+            self.succ += [*range(base + 1, base + m), base][:m]  # the next cell, or the loop's first
         self.active: list[ActiveCrossing] = []
-        for pid in sorted(d.points):
-            for c0, d0, i0 in by_pass.get((pid, 0), []):
-                for c1, d1, i1 in by_pass.get((pid, 1), []):
-                    l0 = leveled[i0][1]
-                    l1 = leveled[i1][1]
-                    if l0 == l1:
-                        continue
-                    # the sign of the (top, bottom) strand pair
-                    eps = d.crossing_sign(pid, d0, d1, l0 > l1)
-                    ctype = "over" if eps > 0 else "under"
-                    top, bottom = (c0, c1) if l0 > l1 else (c1, c0)
-                    self.active.append(ActiveCrossing(pid, top, bottom, ctype))
+        for pid, (i0, c0, d0), (i1, c1, d1) in d.meetings([loop for loop, _ in leveled]):
+            l0, l1 = levels[i0], levels[i1]
+            if l0 == l1:
+                continue
+            # the sign of the (top, bottom) strand pair
+            eps = d.crossing_sign(pid, d0, d1, l0 > l1)
+            ctype = "over" if eps > 0 else "under"
+            top, bottom = (c0, c1) if l0 > l1 else (c1, c0)
+            self.active.append(ActiveCrossing(pid, top, bottom, ctype))
         # entries of the doubled cells, cell c + n being cell c walked
         # backwards, with the diagram's entry_key ranks: canonical forms
         # compare ints, not key tuples
-        fwd = [e for _, e in self.cells]
         self.entries = fwd + [(a, -dr) for a, dr in fwd]
         self.keys = list(map(d.entry_ranks().__getitem__, self.entries))
         # per convention (oriented, unoriented), the (rank key, Loop) of
@@ -269,8 +263,11 @@ def expect_loops(
     coefficients.  resolution_order permutes the processing sequence; the
     result cannot depend on it (states are subsets of commuting swaps)."""
     st = Stacked(d, leveled)
-    idxs = list(resolution_order) if resolution_order is not None else list(range(len(st.active)))
-    if sorted(idxs) != list(range(len(st.active))):
+    try:  # an entry that is not an int, such as 0.0, is no index
+        idxs = list(map(index, resolution_order)) if resolution_order is not None else list(range(len(st.active)))
+    except TypeError:
+        idxs = None
+    if idxs is None or sorted(idxs) != list(range(len(st.active))):
         raise StarError("resolution_order must permute the active crossings")
     over = [st.active[i].ctype == "over" for i in idxs]
     table = _state_table(group, order, sum(over), len(over) - sum(over))

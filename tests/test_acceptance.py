@@ -19,7 +19,7 @@ from loopstar.coeff import (
     exp_generator,
     exp_series,
 )
-from loopstar.diagram import FormalSum, canonical, monomial, parse_diagram
+from loopstar.diagram import Arc, FormalSum, canonical, monomial, parse_diagram
 from loopstar.goldman import bracket_poly, bracket_sl2
 from loopstar.holonomy import (
     eval_complex_sum,
@@ -59,9 +59,8 @@ def test_criterion_01_single_crossing_su2_star():
     su2 = GroupSpec("su2")
     s = star(d, _factor(d, su2, "C"), _factor(d, su2, "D"), su2)
     prod = monomial([d.loop_of("C"), d.loop_of("D")])
-    joined = monomial(
-        [canonical(d.concat_at(d.loop_of("C"), d.loop_of("D"), "a").word, "unoriented")]
-    )
+    # C *_a D: each word starts after the entry that arrives at a
+    joined = monomial([canonical(((Arc("C", 0), 1), (Arc("D", 0), 1)), "unoriented")])
     # symbolic slots against an independent sympy Taylor oracle, to K=8
     h = sp.Symbol("h")
     rt = sp.sqrt(3)
@@ -143,9 +142,7 @@ def test_criterion_05_bracket_oracle_equivalence():
             assign = random_assignment(d, grp, rng)
             basis = lie_basis(grp)
             direct = 0j
-            for pid, eps in d.crossings_between(x, y):
-                gx = next(g for g, p, _, _ in d.loop_gaps(x) if p == pid)
-                gy = next(g for g, p, _, _ in d.loop_gaps(y) if p == pid)
+            for _, eps, gx, gy in d.crossings_between(x, y):
                 direct += eps * gram_pairing(
                     grp, loop_matrix(x, assign, gx), loop_matrix(y, assign, gy), basis
                 )

@@ -28,12 +28,23 @@ from loopstar.diagram import (
     monomial,
     monomial_text,
     parse_diagram,
-    reverse,
+    reverse_word,
 )
+from loopstar.goldman import bracket_loops
 from loopstar.holonomy import eval_wilson, loop_matrix, random_assignment
 from loopstar.checks import random_diagram
 
 ONE_CROSSING = "point a +\ncurve C level 1: a\ncurve D level 0: a\n"
+
+
+def reverse(loop: Loop) -> Loop:
+    return Loop(reverse_word(loop.word))
+
+
+def joined(x: Loop, y: Loop, gx: int, gy: int) -> Loop:
+    """x *_p y from the gaps crossings_between reports at p: each word
+    rotated to start after its gap, x's first."""
+    return Loop(x.word[gx + 1 :] + x.word[: gx + 1] + y.word[gy + 1 :] + y.word[: gy + 1])
 
 
 def test_parse_basic():
@@ -108,6 +119,19 @@ def test_validate_reports_a_level_that_does_not_order(level):
         expect_diagram(d, GroupSpec("su2"), 2)
 
 
+@pytest.mark.parametrize("curves, message", [
+    ({1: Curve(1, ("a",), 1), 2: Curve(2, ("a",))}, "curve key 1 and id 1 must be strings"),
+    ({1: Curve(1, ("a",), 1), "D": Curve("D", ("a",))}, "curve key 1 and id 1 must be strings"),
+    ({"C": Curve("C", ("a",), 1), "D": Curve(2, ("a",))}, "curve key 'D' and id 2 must be strings"),
+    ({"C": Curve("C", ("a",), 1), ("D",): Curve("D", ("a",))}, r"curve key \('D',\) and id 'D' must be strings"),
+], ids=["int-ids", "int-and-str-ids", "int-id-under-a-str-key", "tuple-key"])
+def test_a_curve_id_that_is_not_a_string_is_rejected_when_built(curves, message):
+    """Arc ids are written "curve.index", so an int id 1 would come back
+    from JSON as the curve "1"; an int beside a str would not sort."""
+    with pytest.raises(DiagramError, match=f"^{message}$"):
+        Diagram(curves=curves, points={"a": CrossingPoint("a", 1)})
+
+
 @pytest.mark.parametrize("level, same_as", [(True, 1), (2.5, 1), (float("inf"), 1), (-0.5, -1)], ids=repr)
 def test_a_level_that_orders_keeps_its_answer(level, same_as):
     from loopstar.star import expect_diagram
@@ -155,13 +179,15 @@ def test_a_curve_filed_under_another_key_answers_by_its_key():
     x, y = d.loop_of("X"), d.loop_of("Y")
     assert (x, y) == (same.loop_of("X"), same.loop_of("Y"))
     assert d.entry_end((Arc("X", 0), 1)) == same.entry_end((Arc("X", 0), 1)) == ("q", 0)
-    assert d.loop_gaps(x) == same.loop_gaps(x) == [(0, "q", 0, 1), (1, "p", 0, 1)]
-    assert d.crossings_between(x, y) == same.crossings_between(x, y) == [("p", 1), ("q", -1)]
-    assert d.concat_at(x, y, "p") == same.concat_at(x, y, "p")
+    # x's gap 0 arrives at q and its gap 1 at p, both at slot 0
+    assert d.meetings([x, y]) == same.meetings([x, y]) == [("p", (0, 1, 1), (1, 2, 1)), ("q", (0, 0, 1), (1, 3, 1))]
+    assert d.crossings_between(x, y) == same.crossings_between(x, y) == [("p", 1, 1, 0), ("q", -1, 0, 1)]
     with pytest.raises(DiagramError, match=r"^arc C\.0 is not an arc of the diagram$"):
         d.entry_end((Arc("C", 0), 1))
     with pytest.raises(DiagramError, match=r"^arc C\.0 is not an arc of the diagram$"):
-        d.loop_gaps(Loop(((Arc("C", 0), 1),)))
+        d.meetings([Loop(((Arc("C", 0), 1),))])
+    with pytest.raises(DiagramError, match=r"^arc C\.0 is not an arc of the diagram$"):
+        d.crossings_between(Loop(((Arc("C", 0), 1),)), y)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -217,8 +243,7 @@ def test_canonical_rotation_invariance():
 
 
 def test_canonical_unoriented_merges_reversal():
-    d = parse_diagram(ONE_CROSSING)
-    j = d.concat_at(d.loop_of("C"), d.loop_of("D"), "a")
+    j = Loop(((Arc("C", 0), 1), (Arc("D", 0), 1)))  # C *_a D in ONE_CROSSING
     assert canonical(j.word, "unoriented") == canonical(reverse(j).word, "unoriented")
     assert canonical(j.word, "oriented") != canonical(reverse(j).word, "oriented")
 
@@ -246,6 +271,7 @@ def test_forward_words_agree_across_conventions():
 def test_reverse_involution():
     d = parse_diagram("point a +\npoint b -\ncurve C level 0: a b a b\n")
     loop = d.loop_of("C")
+    assert reverse_word(reverse_word(loop.word)) == loop.word
     assert canonical(reverse(reverse(loop)).word) == canonical(loop.word)
 
 
@@ -254,10 +280,12 @@ def test_reverse_involution():
 
 def test_concat_simple_loops():
     d = parse_diagram(ONE_CROSSING)
-    j = d.concat_at(d.loop_of("C"), d.loop_of("D"), "a")
-    assert len(j) == 2  # visits a twice
-    gaps = [p for _, p, _, _ in d.loop_gaps(j)]
-    assert gaps == ["a", "a"]
+    x, y = d.loop_of("C"), d.loop_of("D")
+    assert d.crossings_between(x, y) == [("a", 1, 0, 0)]
+    j = joined(x, y, 0, 0)
+    assert j == Loop(((Arc("C", 0), 1), (Arc("D", 0), 1)))
+    assert len(j) == 2  # visits a twice, once at each slot
+    assert d.meetings([j]) == [("a", (0, 0, 1), (0, 1, 1))]
 
 
 def test_concat_length_additivity():
@@ -265,26 +293,55 @@ def test_concat_length_additivity():
     for _ in range(10):
         d = random_diagram(rng, n_curves=2, self_crossing_prob=0.0)
         x, y = d.loop_of("C0"), d.loop_of("C1")
-        shared = [p for p, _ in d.crossings_between(x, y)]
+        shared = d.crossings_between(x, y)
         if not shared:
             continue
-        j = d.concat_at(x, y, shared[0])
+        _, _, gx, gy = shared[0]
+        j = joined(x, y, gx, gy)
         assert len(j) == len(x) + len(y)
 
 
 def test_concat_symmetry_up_to_rotation():
     d = parse_diagram(ONE_CROSSING)
     x, y = d.loop_of("C"), d.loop_of("D")
-    assert canonical(d.concat_at(x, y, "a").word) == canonical(d.concat_at(y, x, "a").word)
+    [(_, _, gx, gy)], [(_, _, hy, hx)] = d.crossings_between(x, y), d.crossings_between(y, x)
+    assert (hx, hy) == (gx, gy)
+    assert canonical(joined(x, y, gx, gy).word) == canonical(joined(y, x, hy, hx).word)
 
 
 def test_concat_error_cases():
+    # a self-crossing of C is no crossing between C and D, so it brings no term
     d = parse_diagram("point a +\npoint s -\ncurve C level 1: a s s\ncurve D level 0: a\n")
-    with pytest.raises(TransversalityError):
-        d.concat_at(d.loop_of("C"), d.loop_of("D"), "s")  # self-crossing of C
+    x, y = d.loop_of("C"), d.loop_of("D")
+    assert [p for p, _, _, _ in d.crossings_between(x, y)] == ["a"]
+    assert len(bracket_loops(d, x, y, GroupSpec("gln", 2), "alt", 2)) == 1
+    # a point that only one of the loops passes brings none either
     big = parse_diagram("point a +\npoint b -\ncurve C level 1: a\ncurve D level 0: a\ncurve E level 0: b b\n")
-    with pytest.raises(TransversalityError):
-        big.concat_at(big.loop_of("C"), big.loop_of("E"), "a")
+    assert big.crossings_between(big.loop_of("C"), big.loop_of("E")) == []
+    assert bracket_loops(big, big.loop_of("C"), big.loop_of("E"), GroupSpec("su2"), "reversal", 2).is_zero()
+
+
+NOT_ONCE = "point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\n"
+
+
+@pytest.mark.parametrize("x, y", [
+    # C.1 and C.0 walked backwards both arrive at slot 0 of a, D.0 at slot 1
+    (((("C", 1), 1), (("C", 0), -1)), ((("D", 0), 1), (("D", 1), 1))),
+    (((("D", 0), 1), (("D", 1), 1)), ((("C", 1), 1), (("C", 0), -1))),
+    # C.1 arrives at slot 0 of a, D.0 and D.1 walked backwards at slot 1
+    (((("C", 1), 1), (("C", 0), 1)), ((("D", 0), 1), (("D", 1), -1))),
+], ids=["x-twice", "y-twice", "slot-1-twice"])
+def test_a_loop_that_passes_a_crossing_twice_is_not_transversal(x, y):
+    """A point that x or y passes more than once is no crossing of the
+    pair; crossings_between and every bracket raise, naming the point."""
+    d = parse_diagram(NOT_ONCE)
+    x, y = (Loop(tuple((Arc(*a), dr) for a, dr in w)) for w in (x, y))
+    message = "^point a is not an inter-loop crossing of the arguments$"
+    with pytest.raises(TransversalityError, match=message):
+        d.crossings_between(x, y)
+    for group, form in ((GroupSpec("gln", 2), "alt"), (GroupSpec("su2"), "alt"), (GroupSpec("su2"), "reversal")):
+        with pytest.raises(TransversalityError, match=message):
+            bracket_loops(d, x, y, group, form, 2)
 
 
 def test_concat_holonomy_contract():
@@ -297,10 +354,8 @@ def test_concat_holonomy_contract():
         if not crossings:
             continue
         A = random_assignment(d, GroupSpec("gln", 3), rng)
-        for pid, _ in crossings:
-            j = d.concat_at(x, y, pid)
-            gx = next(g for g, p, _, _ in d.loop_gaps(x) if p == pid)
-            gy = next(g for g, p, _, _ in d.loop_gaps(y) if p == pid)
+        for _, _, gx, gy in crossings:
+            j = joined(x, y, gx, gy)
             want = np.trace(loop_matrix(x, A, gx) @ loop_matrix(y, A, gy))
             assert abs(eval_wilson(j, A) - want) < 1e-12
 
@@ -319,24 +374,24 @@ def test_reverse_wilson_values():
 def test_crossing_sign_flips_with_reversal():
     d = parse_diagram(ONE_CROSSING)
     x, y = d.loop_of("C"), d.loop_of("D")
-    assert d.crossings_between(x, y) == [("a", 1)]
-    assert d.crossings_between(y, x) == [("a", -1)]  # swapped orientation order
-    assert d.crossings_between(x, reverse(y)) == [("a", -1)]
-    assert d.crossings_between(reverse(x), reverse(y)) == [("a", 1)]
+    assert d.crossings_between(x, y) == [("a", 1, 0, 0)]
+    assert d.crossings_between(y, x) == [("a", -1, 0, 0)]  # swapped orientation order
+    assert d.crossings_between(x, reverse(y)) == [("a", -1, 0, 0)]
+    assert d.crossings_between(reverse(x), reverse(y)) == [("a", 1, 0, 0)]
 
 
 def test_free_loop():
     d = parse_diagram("curve C level 0:\n")
     loop = d.loop_of("C")
     assert len(loop) == 1
-    assert d.loop_gaps(loop) == []
+    assert d.meetings([loop]) == []
     A = random_assignment(d, GroupSpec("un", 3), np.random.default_rng(0))
     assert abs(eval_wilson(loop, A) - np.trace(A.matrices["C.0"])) < 1e-14
 
 
 def test_loop_and_monomial_text():
     d = parse_diagram(ONE_CROSSING)
-    j = d.concat_at(d.loop_of("C"), reverse(d.loop_of("D")), "a")
+    j = Loop(((Arc("C", 0), 1), (Arc("D", 0), -1)))  # C *_a D reversed
     assert str(j) == "C.0 D.0~"
     assert repr(j) == "Loop(C.0 D.0~)"
     assert monomial_text(monomial([d.loop_of("D"), j])) == "W(C.0 D.0~) * W(D.0)"
@@ -441,7 +496,7 @@ def test_formal_sum_slot():
 
 def test_formal_sum_json_round_trip():
     d = parse_diagram(ONE_CROSSING)
-    j = d.concat_at(d.loop_of("C"), reverse(d.loop_of("D")), "a")
+    j = Loop(((Arc("C", 0), 1), (Arc("D", 0), -1)))  # C *_a D reversed
     fs = FormalSum(order=2)
     fs.add_term(monomial([canonical(j.word)]), SeriesCoeff([1, Fraction(-1, 2), Fraction(3, 8)], order=2))
     fs.add_term(monomial([d.loop_of("C"), d.loop_of("D")]), SeriesCoeff([0, 1, 0], order=2))
@@ -618,7 +673,8 @@ def python_with_hash_seed(seed: int, code: str, stdin: bytes = b"") -> bytes:
 def test_loop_hash_is_the_hash_of_its_word():
     d = parse_diagram("point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\n")
     x, y = d.loop_of("C"), d.loop_of("D")
-    for loop in (x, y, canonical(reverse(x).word, "unoriented"), reverse(y), d.concat_at(x, y, "a")):
+    (_, _, gx, gy), _ = d.crossings_between(x, y)
+    for loop in (x, y, canonical(reverse(x).word, "unoriented"), reverse(y), joined(x, y, gx, gy)):
         assert hash(loop) == hash((loop.word,))
         assert hash(loop) == hash(Loop(loop.word))
 

@@ -23,7 +23,7 @@ from loopstar.coeff import (
     crossing_coeffs,
     kauffman_coeffs,
 )
-from loopstar.diagram import Arc, canonical, entry_key, monomial, parse_diagram, reverse, reverse_word
+from loopstar.diagram import Arc, Loop, canonical, entry_key, monomial, parse_diagram, reverse_word
 from loopstar.star import (
     Stacked,
     StarError,
@@ -118,7 +118,7 @@ def test_canonical_monomial_memo_matches_fresh_canonical_forms(stack, group, rev
     words with canonical().  Reversed loops make the two conventions'
     forms differ, so a memo shared between them fails."""
     d, leveled, resolution_order = stack
-    leveled = [(reverse(l) if r else l, level) for (l, level), r in zip(leveled, reversed_)]
+    leveled = [(Loop(reverse_word(l.word)) if r else l, level) for (l, level), r in zip(leveled, reversed_)]
     st_ = Stacked(d, leveled)
     swaps = [[(st_.active[i].cell_top, st_.active[i].cell_bottom)] for i in resolution_order]
     first = group.convention == "unoriented"
@@ -132,7 +132,10 @@ def test_canonical_monomial_memo_matches_fresh_canonical_forms(stack, group, rev
             assert all(hash(l) == hash((l.word,)) for l in got + want)
     for a in st_.active:
         x, y = (leveled[st_.cells[c][0]][0] for c in (a.cell_top, a.cell_bottom))
-        for l in (d.concat_at(x, y, a.point), reverse(x)):
+        # x *_p y at each crossing of the pair, a.point among them
+        joined = [Loop(x.word[gx + 1 :] + x.word[: gx + 1] + y.word[gy + 1 :] + y.word[: gy + 1])
+                  for _, _, gx, gy in d.crossings_between(x, y)]
+        for l in (*joined, Loop(reverse_word(x.word))):
             assert hash(l) == hash((l.word,))
 
 
@@ -164,7 +167,7 @@ def test_mirrored_cells_give_the_unoriented_canonical_form(stack, reversed_):
     (cells up to 2n) it must equal the unoriented canonical forms of the
     cells' entries."""
     d, leveled, _ = stack
-    leveled = [(reverse(l) if r else l, level) for (l, level), r in zip(leveled, reversed_)]
+    leveled = [(Loop(reverse_word(l.word)) if r else l, level) for (l, level), r in zip(leveled, reversed_)]
     st_ = Stacked(d, leveled)
     swaps = [[(a.cell_top, a.cell_bottom)] for a in st_.active]
     states = [(st_, st_.cycles(succ)) for _, succ in _states(st_.succ, swaps)]

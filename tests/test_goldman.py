@@ -7,13 +7,13 @@ from fractions import Fraction
 
 from loopstar.coeff import GroupSpec
 from loopstar.diagram import (
+    Arc,
     DiagramError,
     FormalSum,
     TransversalityError,
     canonical,
     monomial,
     parse_diagram,
-    reverse,
 )
 from loopstar.goldman import bracket_gln, bracket_loops, bracket_poly, bracket_sl2
 from loopstar.holonomy import (
@@ -30,14 +30,22 @@ ONE = "point a +\ncurve C level 1: a\ncurve D level 0: a\n"
 TWO_MIXED = "point p +\npoint q -\ncurve C level 1: p q\ncurve D level 0: q p\n"
 
 
+def word(*entries) -> tuple:
+    """A word from ("C.0", dir) pairs."""
+    return tuple((Arc.from_id(a), dr) for a, dr in entries)
+
+
+# C *_a D and C *_a D-reversed in ONE
+JOINED = word(("C.0", 1), ("D.0", 1))
+JOINED_REV = word(("C.0", 1), ("D.0", -1))
+
+
 def direct_bracket_value(d, x, y, group, assign, basis=None):
     """Independent oracle: the per-point functional-derivative sum
     sum_i eps_i sum_ab (g^-1)_ab tr(hol_{x,i} e_a) tr(hol_{y,i} e_b)."""
     basis = basis or lie_basis(group)
     total = 0j
-    for pid, eps in d.crossings_between(x, y):
-        gx = next(g for g, p, _, _ in d.loop_gaps(x) if p == pid)
-        gy = next(g for g, p, _, _ in d.loop_gaps(y) if p == pid)
+    for _, eps, gx, gy in d.crossings_between(x, y):
         hx = loop_matrix(x, assign, base_gap=gx)
         hy = loop_matrix(y, assign, base_gap=gy)
         total += eps * gram_pairing(group, hx, hy, basis)
@@ -48,7 +56,7 @@ def test_single_positive_crossing_gln():
     d = parse_diagram(ONE)
     x, y = d.loop_of("C"), d.loop_of("D")
     b = bracket_gln(d, x, y, 4)
-    joined = monomial([canonical(d.concat_at(x, y, "a").word)])
+    joined = monomial([canonical(JOINED)])
     assert dict(b.slot(0)) == {joined: Fraction(1)}
     assert len(b) == 1
 
@@ -64,8 +72,9 @@ def test_two_crossings_signed_sum():
     d = parse_diagram(TWO_MIXED)
     x, y = d.loop_of("C"), d.loop_of("D")
     b = bracket_gln(d, x, y, 4)
-    plus = monomial([canonical(d.concat_at(x, y, "p").word)])
-    minus = monomial([canonical(d.concat_at(x, y, "q").word)])
+    # C.0 and D.1 arrive at q, C.1 and D.0 at p: each word starts after it
+    plus = monomial([canonical(word(("C.0", 1), ("C.1", 1), ("D.1", 1), ("D.0", 1)))])
+    minus = monomial([canonical(word(("C.1", 1), ("C.0", 1), ("D.0", 1), ("D.1", 1)))])
     assert dict(b.slot(0)) == {plus: Fraction(1), minus: Fraction(-1)}
 
 
@@ -73,7 +82,7 @@ def test_sl2_alt_form_single_crossing():
     d = parse_diagram(ONE)
     x, y = d.loop_of("C"), d.loop_of("D")
     b = bracket_sl2(d, x, y, "alt", 4)
-    joined = monomial([canonical(d.concat_at(x, y, "a").word, "unoriented")])
+    joined = monomial([canonical(JOINED, "unoriented")])
     prod = monomial([canonical(x.word, "unoriented"), canonical(y.word, "unoriented")])
     assert dict(b.slot(0)) == {joined: Fraction(1), prod: Fraction(-1, 2)}
 
@@ -82,8 +91,8 @@ def test_sl2_reversal_form_single_crossing():
     d = parse_diagram(ONE)
     x, y = d.loop_of("C"), d.loop_of("D")
     b = bracket_sl2(d, x, y, "reversal", 4)
-    joined = monomial([canonical(d.concat_at(x, y, "a").word, "unoriented")])
-    rev = monomial([canonical(d.concat_at(x, reverse(y), "a").word, "unoriented")])
+    joined = monomial([canonical(JOINED, "unoriented")])
+    rev = monomial([canonical(JOINED_REV, "unoriented")])
     assert dict(b.slot(0)) == {joined: Fraction(1, 2), rev: Fraction(-1, 2)}
 
 

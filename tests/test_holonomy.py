@@ -10,7 +10,7 @@ from scipy.linalg import expm  # the reference for _expm; scipy is a test-only d
 import loopstar.holonomy as holonomy
 from loopstar.checks import random_diagram
 from loopstar.coeff import GroupSpec, SeriesCoeff
-from loopstar.diagram import FormalSum, canonical, monomial, parse_diagram, reverse
+from loopstar.diagram import FormalSum, Loop, canonical, monomial, parse_diagram, reverse_word
 from loopstar.goldman import bracket_poly
 from loopstar.holonomy import (
     _expm,
@@ -126,7 +126,7 @@ def test_batch_wilson_values_equal_the_per_loop_product_bit_for_bit(group, seed)
     d, assign, sums = batch_sums(group, seed)
     loops = list(dict.fromkeys(loop for fs in sums for m in fs.terms for loop in m))
     arcs = d.all_arcs()
-    loops = list(dict.fromkeys(loops + [reverse(loop) for loop in loops]
+    loops = list(dict.fromkeys(loops + [Loop(reverse_word(loop.word)) for loop in loops]
                                + [canonical([(a, s)]) for a in arcs[:3] for s in (1, -1)]))
     assert len({len(loop) for loop in loops}) >= 3  # padding is exercised
     assert any(s == -1 for loop in loops for _, s in loop.word)  # so is inversion

@@ -16,7 +16,7 @@ import pytest
 
 from loopstar.checks import random_diagram, random_factors
 from loopstar.coeff import GROUP_KINDS, GroupSpec
-from loopstar.diagram import FormalSum, Loop, canonical, monomial, reverse
+from loopstar.diagram import FormalSum, Loop, canonical, monomial, reverse_word
 from loopstar.goldman import bracket_poly
 from loopstar.holonomy import eval_formal, random_assignment
 from loopstar.star import _stackings, expect_loops, star
@@ -28,16 +28,23 @@ BETA = 0.05
 
 
 def reference_bracket_loops(d, x, y, group, form, order) -> FormalSum:
-    """The loop bracket, one Fraction coefficient per added term."""
+    """The loop bracket, one Fraction coefficient per added term.  x *_p y
+    is each word rotated to start after its gap at p, x's first; x *_p y^-1
+    takes y's reversal, rotated to start after its own gap at p."""
     out = FormalSum.zero(order)
     conv = group.convention
-    for pid, eps in d.crossings_between(x, y):
-        joined = monomial([canonical(d.concat_at(x, y, pid).word, conv)])
+    for _, eps, gx, gy in d.crossings_between(x, y):
+        wx, wy = x.word[gx + 1 :] + x.word[: gx + 1], y.word[gy + 1 :] + y.word[: gy + 1]
+        joined = monomial([canonical(wx + wy, conv)])
         if not group.orientation_free:
             out.add_term(joined, Fraction(eps))
         elif form == "reversal":
             out.add_term(joined, Fraction(eps, 2))
-            out.add_term(monomial([canonical(d.concat_at(x, reverse(y), pid).word, conv)]), Fraction(-eps, 2))
+            # reverse(y)'s entry arriving at p is y's entry gy + 1 reversed,
+            # the one at the reversed word's index len(y) - 2 - gy
+            ry = reverse_word(y.word)
+            hy = (len(ry) - 2 - gy) % len(ry)
+            out.add_term(monomial([canonical(wx + ry[hy + 1 :] + ry[: hy + 1], conv)]), Fraction(-eps, 2))
         else:
             out.add_term(joined, Fraction(eps))
             out.add_term(monomial([canonical(x.word, conv), canonical(y.word, conv)]), Fraction(-eps, 2))
@@ -71,7 +78,7 @@ def reference_star(d, f, g, group, order) -> FormalSum:
 def rotated(fs: FormalSum) -> FormalSum:
     """fs with each loop's word rotated by one entry and reversed: loops
     that are not in canonical form, which the bracket canonicalizes."""
-    return FormalSum({monomial(reverse(Loop(l.word[1:] + l.word[:1])) for l in m): c for m, c in fs.terms.items()},
+    return FormalSum({monomial(Loop(reverse_word(l.word[1:] + l.word[:1])) for l in m): c for m, c in fs.terms.items()},
                      fs.order)
 
 

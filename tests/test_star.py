@@ -27,6 +27,7 @@ from loopstar.diagram import (
     canonical,
     monomial,
     parse_diagram,
+    reverse_word,
 )
 from loopstar.goldman import bracket_gln, bracket_loops, bracket_poly, bracket_sl2
 from loopstar.holonomy import (
@@ -54,6 +55,9 @@ from loopstar.checks import r2_pair_diagram, random_diagram, random_factors
 
 ONE = "point a +\ncurve C level 1: a\ncurve D level 0: a\n"
 K = 8
+# C *_a D and C *_a D-reversed in ONE
+JOINED = ((Arc("C", 0), 1), (Arc("D", 0), 1))
+JOINED_REV = ((Arc("C", 0), 1), (Arc("D", 0), -1))
 
 
 def as_factor(d, group, *names, order=K):
@@ -81,7 +85,7 @@ def test_expect_single_over_crossing_matches_table():
     out = expect_loops(d, [(d.loop_of("C"), 1), (d.loop_of("D"), -1)], su2, K)
     cc = crossing_coeffs(su2, "over", K)
     prod = monomial([d.loop_of("C"), d.loop_of("D")])
-    joined = monomial([canonical(d.concat_at(d.loop_of("C"), d.loop_of("D"), "a").word, "unoriented")])
+    joined = monomial([canonical(JOINED, "unoriented")])
     assert out.terms[prod] == cc.virtual
     assert out.terms[joined] == cc.smooth
     assert len(out) == 2
@@ -144,6 +148,54 @@ def test_expect_rejects_bad_resolution_order():
         expect_loops(d, loops, GroupSpec("su2"), 4, resolution_order=[0, 0])
 
 
+@pytest.mark.parametrize("order", [[0.0, 1.0], [1.0, 0], ["0", 1], [0, None], 2], ids=repr)
+def test_a_resolution_order_entry_that_is_not_an_int_is_rejected(order):
+    """0.0 equals 0 and so sorts like a permutation, but indexes nothing."""
+    d = parse_diagram(TWO)
+    loops = [(d.loop_of("C"), 1), (d.loop_of("D"), -1)]
+    with pytest.raises(StarError, match="^resolution_order must permute the active crossings$"):
+        expect_loops(d, loops, GroupSpec("su2"), 4, resolution_order=order)
+
+
+def test_a_bool_resolution_order_keeps_its_answer():
+    d = parse_diagram(TWO)
+    loops = [(d.loop_of("C"), 1), (d.loop_of("D"), -1)]
+    su2 = GroupSpec("su2")
+    assert (list(expect_loops(d, loops, su2, 4, resolution_order=[True, False]).terms.items())
+            == list(expect_loops(d, loops, su2, 4, resolution_order=[1, 0]).terms.items()))
+
+
+@pytest.mark.parametrize("levels", [
+    (float("nan"), 0), (0, float("nan")), (float("nan"), float("nan")), ("1", "0"), (None, 0), (1, 1j),
+], ids=repr)
+def test_a_stacking_level_that_does_not_order_is_a_domain_error(levels):
+    """Every state sum applies the level rule of Diagram.validate() to the
+    levels it is given: NaN compares false with every level, so it would
+    make the other strand the lower one, or two NaN strands a crossing;
+    strings would compare as strings."""
+    d = parse_diagram(ONE)
+    leveled = list(zip((d.loop_of("C"), d.loop_of("D")), levels))
+    bad = next(level for level in levels if not isinstance(level, int) or isinstance(level, bool))
+    message = re.escape(f"level must be an int or a float other than NaN, got {bad!r}")
+    su2 = GroupSpec("su2")
+    for call in (lambda: expect_loops(d, leveled, su2, 2), lambda: expect_values(d, leveled, su2, 0.1),
+                 lambda: unoriented_kauffman_resolution(d, leveled, su2, 2)):
+        with pytest.raises(StarError, match=f"^{message}$"):
+            call()
+
+
+@pytest.mark.parametrize("levels, same_as", [((True, 0), (1, 0)), ((2.5, -0.5), (1, -1)), ((float("-inf"), 0), (-1, 0))],
+                         ids=repr)
+def test_a_stacking_level_that_orders_keeps_its_answer(levels, same_as):
+    d = parse_diagram(ONE)
+    su2 = GroupSpec("su2")
+    loops = (d.loop_of("C"), d.loop_of("D"))
+    assert expect_loops(d, list(zip(loops, levels)), su2, 2) == expect_loops(d, list(zip(loops, same_as)), su2, 2)
+    assert (unoriented_kauffman_resolution(d, list(zip(loops, levels)), su2, 2)
+            == unoriented_kauffman_resolution(d, list(zip(loops, same_as)), su2, 2))
+    assert expect_values(d, list(zip(loops, levels)), su2, 0.1) == expect_values(d, list(zip(loops, same_as)), su2, 0.1)
+
+
 # -- star ------------------------------------------------------------------------
 
 
@@ -153,7 +205,7 @@ def test_star_single_crossing_reproduces_closed_form():
     out = star_loops(d, d.loop_of("C"), d.loop_of("D"), su2, K)
     cc = crossing_coeffs(su2, "over", K)
     prod = monomial([d.loop_of("C"), d.loop_of("D")])
-    joined = monomial([canonical(d.concat_at(d.loop_of("C"), d.loop_of("D"), "a").word, "unoriented")])
+    joined = monomial([canonical(JOINED, "unoriented")])
     assert out.terms == {prod: cc.virtual, joined: cc.smooth}
 
 
@@ -500,11 +552,9 @@ def test_star_framing_gl2_vs_su2(text, signs):
 def test_star_with_reversed_factor():
     # reversing a strand flips the effective crossing sign, hence the type;
     # for the rank-2 groups the star value is orientation independent
-    from loopstar.diagram import reverse
-
     d = parse_diagram(ONE)
     C, D = d.loop_of("C"), d.loop_of("D")
-    rC = canonical(reverse(C).word, "oriented")
+    rC = canonical(reverse_word(C.word), "oriented")
     st = Stacked(d, [(rC, 1), (D, -1)])
     assert [a.ctype for a in st.active] == ["under"]
     st_fwd = Stacked(d, [(C, 1), (D, -1)])
@@ -549,10 +599,8 @@ def test_unoriented_single_over_crossing():
     x, y = d.loop_of("C"), d.loop_of("D")
     out = unoriented_kauffman_resolution(d, [(x, 1), (y, -1)], su2, K)
     a, b = kauffman_coeffs(K)
-    compat = monomial([canonical(d.concat_at(x, y, "a").word, "unoriented")])
-    from loopstar.diagram import reverse
-
-    rev = monomial([canonical(d.concat_at(x, reverse(y), "a").word, "unoriented")])
+    compat = monomial([canonical(JOINED, "unoriented")])
+    rev = monomial([canonical(JOINED_REV, "unoriented")])
     assert out.terms == {compat: a, rev: b}
 
 
