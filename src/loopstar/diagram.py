@@ -291,34 +291,38 @@ def level_error(level) -> str | None:
 
 @dataclass
 class Diagram:
-    """Crossing points plus curves; pass slots are assigned in declaration
-    order (first visit of a point = slot 0, second = slot 1).  meetings()
-    pairs the strands of loops at each point, for the bracket and the star.
+    """Crossing points plus curves, their keys and ids strings; pass slots
+    follow declaration order (first visit = slot 0, second = slot 1).
+    meetings() pairs the strands of closed walks at each point, for the
+    bracket and the star, and refuses any word that is not a closed walk.
 
     Treated as immutable after construction: all operations are pure and
     safe for concurrent use.  Build a new Diagram rather than mutating the
     dicts, or the tables go stale.  They hold only what the diagram fixes,
-    all filled here: the end of every (arc, direction) entry, each curve's
-    arcs named by its dict key, the sorted point ids and the entry ranks."""
+    all filled here: where every (arc, direction) entry ends and starts,
+    each curve's arcs by its dict key, the sorted point ids, entry ranks."""
 
     curves: dict[str, Curve] = field(default_factory=dict)
     points: dict[str, CrossingPoint] = field(default_factory=dict)
 
     def __post_init__(self):
+        for kind, table in (("curve", self.curves), ("point", self.points)):
+            for key, v in table.items():  # before the sorts below
+                if not (isinstance(key, str) and isinstance(v.id, str)):
+                    raise DiagramError(f"{kind} key {key!r} and id {v.id!r} must be strings")
         self._visits: dict[str, int] = dict.fromkeys(self.points, 0)
-        # (arc, dir) -> the pass (point, slot) it ends at: arc i ends at
-        # pass i walked backwards and at pass i + 1 walked forwards
-        self._ends: dict[WordEntry, tuple[str, int] | None] = {}
+        # (arc, dir) -> (the pass (point, slot) it ends at, the point it
+        # arrives at, the one it leaves): arc i runs from pass i to pass i + 1
+        self._ends: dict[WordEntry, tuple] = {}
         for key, c in self.curves.items():
-            if not (isinstance(key, str) and isinstance(c.id, str)):  # before the rank sort
-                raise DiagramError(f"curve key {key!r} and id {c.id!r} must be strings")
             k = len(c.passes)
             for pos, pid in enumerate(c.passes):
                 slot = self._visits.get(pid, 0)
                 self._visits[pid] = slot + 1
-                self._ends[Arc(key, (pos - 1) % k), 1] = self._ends[Arc(key, pos), -1] = (pid, slot)
-            if not k:
-                self._ends[Arc(key, 0), 1] = self._ends[Arc(key, 0), -1] = None
+                self._ends[Arc(key, (pos - 1) % k), 1] = ((pid, slot), pid, c.passes[pos - 1])
+                self._ends[Arc(key, pos), -1] = ((pid, slot), pid, c.passes[pos + 1 - k])
+            if not k:  # the free arc meets nothing and arrives where it leaves: itself, no point id
+                self._ends[Arc(key, 0), 1] = self._ends[Arc(key, 0), -1] = (None, Arc(key, 0), Arc(key, 0))
         self._order = sorted(self.points)
         self._ranks = {e: r for r, e in enumerate(sorted(self._ends, key=entry_key))}
         self._valid = False
@@ -366,24 +370,6 @@ class Diagram:
     def all_arcs(self) -> list[Arc]:
         return [a for cid in self.curves for a in self.arcs_of(cid)]
 
-    def entry_end(self, e: WordEntry) -> tuple[str, int] | None:
-        """Pass (point, slot) at which a directed word entry terminates;
-        None for the free arc of a pass-less curve.  An arc that is not one
-        of the diagram's, or a direction other than +1 or -1, raises DiagramError."""
-        try:
-            return self._ends[e]
-        except (KeyError, TypeError):  # not an entry of the table, or not hashable
-            arc, d = e
-        try:
-            known = (arc, 1) in self._ends
-        except TypeError:  # an arc that cannot be hashed, such as C.[0]
-            known = False
-        if not known:
-            raise DiagramError(f"arc {arc.id} is not an arc of the diagram")
-        if d not in (1, -1):
-            raise DiagramError(f"arc {arc.id}: direction {d!r} is not +1 or -1")
-        return self._ends[arc, d]  # an entry given as a list, such as [C.0, 1]
-
     def entry_ranks(self) -> dict[WordEntry, int]:
         """Rank of every (arc, dir) entry of the diagram in entry_key order,
         so that ranks compare as the keys do."""
@@ -409,6 +395,8 @@ class Diagram:
         point = self.points.get(pid)
         if point is None:
             raise DiagramError(f"unknown crossing point {pid!r}")
+        if d0 not in (1, -1) or d1 not in (1, -1):
+            raise DiagramError(f"point {pid}: directions {d0!r}, {d1!r} are not each +1 or -1")
         eps = point.sign * d0 * d1
         return eps if slot0_first else -eps
 
@@ -416,16 +404,25 @@ class Diagram:
         """Every pair of a slot-0 and a slot-1 strand of the loops through a
         point, as (point, strand, strand) in point then word order; the one
         place that pairs passes.  A strand is (loop, cell, direction), cell
-        indexing the entry arriving at the pass in the words joined."""
+        indexing the entry arriving at the pass in the words joined.  Any
+        word but a closed walk, each entry an (arc, +1 or -1) of the diagram
+        leaving the point the one before it arrives at, raises DiagramError,
+        as does the empty word, which canonical() refuses too."""
         passes, ends, base = {}, self._ends, 0  # passes: (point, slot) -> its strands
         for i, loop in enumerate(loops):
+            first = here = None  # the point the walk first leaves, the one it is at
             for cell, e in enumerate(loop.word, base):
                 try:
-                    end = ends[e]
-                except (KeyError, TypeError):  # entry_end raises, or reads a list entry
-                    end = self.entry_end(e)
+                    end, arrive, leave = ends[e]
+                except (KeyError, TypeError):  # not an entry of the table, or not hashable
+                    raise DiagramError(f"loop {i}: word entry {e!r} is not an (arc, +1 or -1) of the diagram") from None
+                if leave != here:  # the first entry, or a break in the walk, after which first stays None
+                    first = leave if here is None else None
+                here = arrive
                 if end is not None:
                     passes.setdefault(end, []).append((i, cell, e[1]))
+            if first is None or first != here:  # a break, an empty word, or an open end
+                raise DiagramError(f"loop {i} is not a closed walk: {loop!r}")
             base += len(loop.word)
         return [(pid, s0, s1) for pid in self._order
                 for s0 in passes.get((pid, 0), ()) for s1 in passes.get((pid, 1), ())]
@@ -435,9 +432,9 @@ class Diagram:
         each point one of whose passes is in x and the other in y, gap g
         lying between word entries g and g + 1.  A point that x or y passes
         more than once raises TransversalityError."""
+        met = self.meetings((x, y))  # first, so that it refuses an entry no set can hold
         if set(a for a, _ in x.word) & set(a for a, _ in y.word):
             raise TransversalityError("loops overlap (shared arcs)")
-        met = self.meetings((x, y))
         points = [pid for pid, _, _ in met]
         out = []
         for pid, (i0, c0, d0), (i1, c1, d1) in met:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations, compress, product, repeat
+from itertools import accumulate, combinations, compress, product
 from operator import index, itemgetter, mul
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -86,11 +86,10 @@ class Stacked:
         for level in levels:
             if level_error(level):
                 raise StarError(level_error(level))
-        self.cells, self.succ, fwd = [], [], []  # a cell is (instance, word entry)
-        for inst, (loop, _) in enumerate(leveled):
+        self.succ, fwd = [], []  # cell c is the entry fwd[c] of the joined words
+        for loop, _ in leveled:
             base, m = len(fwd), len(loop.word)
             fwd += loop.word
-            self.cells += zip(repeat(inst), loop.word)
             self.succ += [*range(base + 1, base + m), base][:m]  # the next cell, or the loop's first
         self.active: list[ActiveCrossing] = []
         for pid, (i0, c0, d0), (i1, c1, d1) in d.meetings([loop for loop, _ in leveled]):
@@ -115,9 +114,9 @@ class Stacked:
 
     def cycles(self, succ: list[int]) -> list[list[int]]:
         """The loops of a state as lists of cells, each from its first cell."""
-        seen = [False] * len(self.cells)
+        seen = [False] * len(succ)
         out = []
-        for start in range(len(self.cells)):
+        for start in range(len(succ)):
             if seen[start]:
                 continue
             cycle = []
@@ -138,7 +137,7 @@ class Stacked:
         once."""
         memo = self._loops[unoriented]
         keys = self.keys
-        n = len(self.cells)
+        n = len(self.succ)
         loops = []
         for cycle in cycles:
             cells = tuple(cycle)
@@ -433,7 +432,7 @@ def _pairing_circles(st: Stacked, succ: list[int]) -> list[list[int]]:
     """The circles of a two-smoothing state on the doubled cells, each once:
     walked from its first forward cell, the walk through the mirrored cells
     being the same circle reversed."""
-    n = len(st.cells)
+    n = len(st.succ)
     seen = [False] * n
     out = []
     for start in range(n):
@@ -470,7 +469,7 @@ def unoriented_kauffman_resolution(
     crossings = st.active[::-1]  # the walk counts with the first one last
     if len({ac.point for ac in crossings}) != len(crossings):
         raise StarError("duplicate loops are not supported in the unoriented resolution")
-    n = len(st.cells)
+    n = len(st.succ)
     start = st.succ + [0] * n
     for c, s in enumerate(st.succ):
         start[n + s] = n + c

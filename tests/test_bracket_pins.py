@@ -17,7 +17,7 @@ import pytest
 
 from loopstar.checks import random_diagram
 from loopstar.coeff import GROUP_KINDS, GroupSpec
-from loopstar.diagram import DiagramError, Loop, formal_sum_to_json, reverse_word
+from loopstar.diagram import Arc, DiagramError, Loop, formal_sum_to_json, reverse_word
 from loopstar.goldman import bracket_loops
 from loopstar.star import star_loops
 
@@ -44,17 +44,24 @@ def closed_walks(d, rng, count: int):
     the point where the one before it ends, the first where the last ends.
     They may turn back along an arc, switch strands at a point and pass one
     point twice."""
-    ends = {(a, dr): d.entry_end((a, dr)) for a in d.all_arcs() for dr in (1, -1)}
+    # the point each entry ends at, from the curves' passes: arc i runs
+    # from pass i to pass i + 1, and a pass-less curve's arc meets none
+    ends = {}
+    for key, c in d.curves.items():
+        k = len(c.passes)
+        for i in range(max(k, 1)):
+            ends[Arc(key, i), 1] = c.passes[(i + 1) % k] if k else None
+            ends[Arc(key, i), -1] = c.passes[i] if k else None
     entries = [e for e, end in ends.items() if end is not None]
     walks = []
     while entries and len(walks) < count:
         word = [entries[rng.integers(len(entries))]]
-        start = ends[word[0][0], -word[0][1]][0]  # the point the walk starts at
-        while len(word) < 6 and (len(word) == 1 or ends[word[-1]][0] != start):
-            here = ends[word[-1]][0]
-            nexts = [e for e in entries if ends[e[0], -e[1]][0] == here]
+        start = ends[word[0][0], -word[0][1]]  # the point the walk starts at
+        while len(word) < 6 and (len(word) == 1 or ends[word[-1]] != start):
+            here = ends[word[-1]]
+            nexts = [e for e in entries if ends[e[0], -e[1]] == here]
             word.append(nexts[rng.integers(len(nexts))])
-        if ends[word[-1]][0] == start:
+        if ends[word[-1]] == start:
             walks.append(Loop(tuple(word)))
     return walks
 

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 
@@ -132,6 +133,19 @@ def test_a_curve_id_that_is_not_a_string_is_rejected_when_built(curves, message)
         Diagram(curves=curves, points={"a": CrossingPoint("a", 1)})
 
 
+@pytest.mark.parametrize("points, message", [
+    ({1: CrossingPoint(1, 1), "a": CrossingPoint("a", -1)}, "point key 1 and id 1 must be strings"),
+    ({"b": CrossingPoint(1, 1), "a": CrossingPoint("a", -1)}, "point key 'b' and id 1 must be strings"),
+    ({("b",): CrossingPoint("b", 1), "a": CrossingPoint("a", -1)}, r"point key \('b',\) and id 'b' must be strings"),
+], ids=["int-id", "int-id-under-a-str-key", "tuple-key"])
+def test_a_point_id_that_is_not_a_string_is_rejected_when_built(points, message):
+    """An int point id beside a str one would not sort, and none would
+    come back from the text format; curve ids follow the same rule."""
+    curves = {"C": Curve("C", (1, "a")), "D": Curve("D", (1, "a"))}
+    with pytest.raises(DiagramError, match=f"^{message}$"):
+        Diagram(curves=curves, points=points)
+
+
 @pytest.mark.parametrize("level, same_as", [(True, 1), (2.5, 1), (float("inf"), 1), (-0.5, -1)], ids=repr)
 def test_a_level_that_orders_keeps_its_answer(level, same_as):
     from loopstar.star import expect_diagram
@@ -178,15 +192,13 @@ def test_a_curve_filed_under_another_key_answers_by_its_key():
     same = Diagram(curves={"X": Curve("X", ("p", "q")), "Y": Curve("Y", ("q", "p"))}, points=points)
     x, y = d.loop_of("X"), d.loop_of("Y")
     assert (x, y) == (same.loop_of("X"), same.loop_of("Y"))
-    assert d.entry_end((Arc("X", 0), 1)) == same.entry_end((Arc("X", 0), 1)) == ("q", 0)
-    # x's gap 0 arrives at q and its gap 1 at p, both at slot 0
+    # X.0, x's gap 0, arrives at q and X.1, its gap 1, at p, both at slot 0
     assert d.meetings([x, y]) == same.meetings([x, y]) == [("p", (0, 1, 1), (1, 2, 1)), ("q", (0, 0, 1), (1, 3, 1))]
     assert d.crossings_between(x, y) == same.crossings_between(x, y) == [("p", 1, 1, 0), ("q", -1, 0, 1)]
-    with pytest.raises(DiagramError, match=r"^arc C\.0 is not an arc of the diagram$"):
-        d.entry_end((Arc("C", 0), 1))
-    with pytest.raises(DiagramError, match=r"^arc C\.0 is not an arc of the diagram$"):
+    message = "^" + re.escape(f"loop 0: word entry {(Arc('C', 0), 1)!r} is not an (arc, +1 or -1) of the diagram") + "$"
+    with pytest.raises(DiagramError, match=message):
         d.meetings([Loop(((Arc("C", 0), 1),))])
-    with pytest.raises(DiagramError, match=r"^arc C\.0 is not an arc of the diagram$"):
+    with pytest.raises(DiagramError, match=message):
         d.crossings_between(Loop(((Arc("C", 0), 1),)), y)
 
 
@@ -325,17 +337,18 @@ NOT_ONCE = "point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\n"
 
 
 @pytest.mark.parametrize("x, y", [
-    # C.1 and C.0 walked backwards both arrive at slot 0 of a, D.0 at slot 1
-    (((("C", 1), 1), (("C", 0), -1)), ((("D", 0), 1), (("D", 1), 1))),
-    (((("D", 0), 1), (("D", 1), 1)), ((("C", 1), 1), (("C", 0), -1))),
-    # C.1 arrives at slot 0 of a, D.0 and D.1 walked backwards at slot 1
-    (((("C", 1), 1), (("C", 0), 1)), ((("D", 0), 1), (("D", 1), -1))),
+    # x walks C twice, arriving at slot 0 of a twice; D arrives at slot 1
+    (("C", 2), ("D", 1)),
+    (("D", 1), ("C", 2)),
+    # C arrives at slot 0 of a, y walks D twice, arriving at slot 1 twice
+    (("C", 1), ("D", 2)),
 ], ids=["x-twice", "y-twice", "slot-1-twice"])
 def test_a_loop_that_passes_a_crossing_twice_is_not_transversal(x, y):
     """A point that x or y passes more than once is no crossing of the
-    pair; crossings_between and every bracket raise, naming the point."""
+    pair; crossings_between and every bracket raise, naming the point.
+    Both loops are closed walks: a curve walked once or twice."""
     d = parse_diagram(NOT_ONCE)
-    x, y = (Loop(tuple((Arc(*a), dr) for a, dr in w)) for w in (x, y))
+    x, y = (Loop(d.loop_of(curve).word * times) for curve, times in (x, y))
     message = "^point a is not an inter-loop crossing of the arguments$"
     with pytest.raises(TransversalityError, match=message):
         d.crossings_between(x, y)
@@ -471,15 +484,29 @@ def reference_ends(d: Diagram) -> dict:
     return ends
 
 
+def met_ends(d: Diagram, loops) -> dict:
+    """The pass each entry of the loops ends at, as meetings reports it:
+    None for an entry that meetings pairs with no other."""
+    entries = [e for loop in loops for e in loop.word]
+    ends = dict.fromkeys(entries)
+    for pid, *strands in d.meetings(loops):
+        for slot, (_, cell, _) in enumerate(strands):
+            ends[entries[cell]] = (pid, slot)
+    return ends
+
+
 def test_entry_tables_match_the_passes():
-    """entry_end of every entry, and the rank table's order, on random
-    diagrams with a pass-less curve added."""
+    """The pass every entry ends at, read through meetings of all curves
+    walked forwards and of all walked backwards, and the rank table's
+    order, on random diagrams with a pass-less curve added."""
     rng = np.random.default_rng(3)
     for _ in range(20):
         r = random_diagram(rng, n_curves=int(rng.integers(2, 5)))
         d = Diagram(curves={**r.curves, "E": Curve("E", ())}, points=r.points)
         ends = reference_ends(d)
-        assert {e: d.entry_end(e) for e in ends} == ends
+        forwards = [d.loop_of(c) for c in d.curves]
+        backwards = [reverse(loop) for loop in forwards]
+        assert {**met_ends(d, forwards), **met_ends(d, backwards)} == ends
         ranks = d.entry_ranks()
         assert set(ranks) == set(ends)
         assert sorted(ranks, key=ranks.__getitem__) == sorted(ends, key=entry_key)

@@ -63,7 +63,7 @@ def brute_force(st, convention, values, one):
             word, c = [], start
             while c not in seen:
                 seen.add(c)
-                word.append(st.cells[c][1])
+                word.append(st.entries[c])
                 c = succ[c]
             if word:
                 loops.append(canonical(word, convention))
@@ -124,14 +124,15 @@ def test_canonical_monomial_memo_matches_fresh_canonical_forms(stack, group, rev
     first = group.convention == "unoriented"
     for _, succ in _states(st_.succ, swaps):
         cycles = st_.cycles(succ)
-        words = [[st_.cells[c][1] for c in cycle] for cycle in cycles]
+        words = [[st_.entries[c] for c in cycle] for cycle in cycles]
         for unoriented in (first, not first):
             got = st_.canonical_monomial(cycles, unoriented)
             want = monomial(canonical(w, "unoriented" if unoriented else "oriented") for w in words)
             assert got == want
             assert all(hash(l) == hash((l.word,)) for l in got + want)
+    owners = [loop for loop, _ in leveled for _ in loop.word]  # the loop of each cell
     for a in st_.active:
-        x, y = (leveled[st_.cells[c][0]][0] for c in (a.cell_top, a.cell_bottom))
+        x, y = owners[a.cell_top], owners[a.cell_bottom]
         # x *_p y at each crossing of the pair, a.point among them
         joined = [Loop(x.word[gx + 1 :] + x.word[: gx + 1] + y.word[gy + 1 :] + y.word[: gy + 1])
                   for _, _, gx, gy in d.crossings_between(x, y)]
@@ -172,7 +173,7 @@ def test_mirrored_cells_give_the_unoriented_canonical_form(stack, reversed_):
     swaps = [[(a.cell_top, a.cell_bottom)] for a in st_.active]
     states = [(st_, st_.cycles(succ)) for _, succ in _states(st_.succ, swaps)]
     circles = pairing_circles_of(d, leveled)
-    n = len(st_.cells)
+    n = len(st_.succ)
     # a reversal smoothing walks into the mirrored cells
     assert any(c >= n for _, cycles in circles for cycle in cycles for c in cycle) == bool(st_.active)
     for owner, cycles in states + circles:

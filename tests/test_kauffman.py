@@ -180,7 +180,7 @@ def end_pairing_brute_force(st_, order):
     su2 = GroupSpec("su2")
     a = -crossing_coeffs(su2, "under", order).virtual
     b = -crossing_coeffs(su2, "over", order).virtual
-    n, succ = len(st_.cells), st_.succ
+    n, succ = len(st_.succ), st_.succ
     base = {}
     for c in range(n):
         base[2 * c + 1], base[2 * succ[c]] = 2 * succ[c], 2 * c + 1
@@ -206,7 +206,7 @@ def end_pairing_brute_force(st_, order):
             while end // 2 not in seen:
                 c = end // 2
                 seen.add(c)
-                arc, direction = st_.cells[c][1]
+                arc, direction = st_.entries[c]
                 forward = end % 2 == 0
                 word.append((arc, direction if forward else -direction))
                 end = pair[end + 1 if forward else end - 1]

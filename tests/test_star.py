@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from loopstar.coeff import (
+    GROUP_KINDS,
     CoeffError,
     GroupSpec,
     HolonomyError,
@@ -25,6 +26,8 @@ from loopstar.diagram import (
     Loop,
     TransversalityError,
     canonical,
+    formal_sum_from_json,
+    formal_sum_to_json,
     monomial,
     parse_diagram,
     reverse_word,
@@ -365,8 +368,14 @@ def test_an_arc_the_diagram_lacks_is_rejected_at_every_entry_point(arc):
         lambda: unoriented_kauffman_resolution(d, [(x, 1), (y, -1)], su2, K),
     ]
     for call in calls:
-        with pytest.raises(DiagramError, match=re.escape(f"arc {arc.id} is not an arc")):
+        with pytest.raises(DiagramError, match=re.escape(f"word entry {(arc, 1)!r} is not an (arc, +1 or -1) of the diagram")):
             call()
+
+
+def refused(entry) -> str:
+    """The one DiagramError message for a word entry that is not an arc of
+    the diagram walked +1 or -1, the word being the first of the loops."""
+    return "^" + re.escape(f"loop 0: word entry {entry!r} is not an (arc, +1 or -1) of the diagram") + "$"
 
 
 def test_a_direction_other_than_plus_or_minus_one_is_rejected():
@@ -378,23 +387,35 @@ def test_a_direction_other_than_plus_or_minus_one_is_rejected():
     x, y = d.loop_of("C"), Loop(tuple((a, 0) for a, _ in reversed(d.loop_of("D").word)))
     for call in (lambda: star_loops(d, x, y, gl2, 2), lambda: bracket_loops(d, x, y, gl2),
                  lambda: expect_loops(d, [(x, 1), (y, -1)], gl2, 2)):
-        with pytest.raises(DiagramError, match=r"^arc D\.\d: direction 0 is not \+1 or -1$"):
+        with pytest.raises(DiagramError, match=r"^loop 1: word entry \(Arc\(curve='D', index=\d\), 0\) is not an \(arc, "):
             call()
+
+
+def test_crossing_sign_takes_only_plus_or_minus_one():
+    """A direction other than +1 or -1 would scale the sign; True and 1.0
+    equal 1 and read as it."""
+    d = parse_diagram("point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\n")
+    for d0, d1 in ((2, 1), (1, 0), (-1, 0.5), ("1", 1), (1, None)):
+        with pytest.raises(DiagramError, match=f"^point a: directions {re.escape(repr(d0))}, {re.escape(repr(d1))} "):
+            d.crossing_sign("a", d0, d1, True)
+    for d0, d1, want in ((True, 1, 1), (1.0, -1, -1), (-1, True, -1), (-1.0, -1.0, 1)):
+        assert d.crossing_sign("a", d0, d1, True) == want
+        assert d.crossing_sign("b", d0, d1, False) == want
 
 
 def test_a_bool_direction_or_index_keeps_its_answer():
     """An index or a flag that equals an int (a bool, or the float 1.0)
-    reads as that int: at entry_end, and in a star product, a bracket and
+    reads as that int: in meetings, and in a star product, a bracket and
     a state sum of a loop that runs through it."""
     d = parse_diagram("point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\n")
     gl2, su2 = GroupSpec("gln", 2), GroupSpec("su2")
     for arc, flag in ((Arc("C", True), True), (Arc("C", False), 1), (Arc("D", 1), True),
                       (Arc("C", 1.0), 1), (Arc("C", 1.0), True)):
         plain = (Arc(arc.curve, int(arc.index)), 1)
-        assert d.entry_end((arc, flag)) == d.entry_end(plain)
         word = d.loop_of(arc.curve).word
         x = Loop(tuple((arc, flag) if e == plain else e for e in word))
         y = d.loop_of("D" if arc.curve == "C" else "C")
+        assert d.meetings([x, y]) == d.meetings([Loop(word), y])
         for group in (gl2, su2):
             assert star_loops(d, x, y, group, 2) == star_loops(d, Loop(word), y, group, 2)
             assert bracket_loops(d, x, y, group) == bracket_loops(d, Loop(word), y, group)
@@ -402,46 +423,138 @@ def test_a_bool_direction_or_index_keeps_its_answer():
 
 
 def test_an_entry_that_cannot_be_hashed_keeps_its_answer():
-    """entry_end answers an entry it cannot look up as it answers any
-    other: a list index or flag is refused with DiagramError, and a list
-    entry that holds a valid arc and flag is read as that entry."""
+    """An entry the table cannot look up is refused like any other entry
+    it lacks: a list index, a list flag, and also a list that holds a
+    valid arc and flag, which no state sum could use.  A bracket refused
+    the list index with a bare TypeError from its shared-arc check."""
     d = parse_diagram("point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\n")
-    with pytest.raises(DiagramError, match=re.escape("arc C.[0] is not an arc of the diagram")):
-        d.entry_end((Arc("C", [0]), 1))
-    with pytest.raises(DiagramError, match=re.escape("arc C.0: direction [1] is not +1 or -1")):
-        d.entry_end((Arc("C", 0), [1]))
-    assert d.entry_end([Arc("C", 0), 1]) == d.entry_end((Arc("C", 0), 1)) == ("b", 0)
+    su2, y = GroupSpec("su2"), d.loop_of("D")
+    for entry in ((Arc("C", [0]), 1), (Arc("C", 0), [1]), [Arc("C", 0), 1]):
+        x = Loop((entry, (Arc("C", 1), 1)))
+        for call in (lambda: d.meetings([x, y]), lambda: expect_loops(d, [(x, 1), (y, -1)], su2, 2),
+                     lambda: d.crossings_between(x, y), lambda: bracket_loops(d, x, y, su2)):
+            with pytest.raises(DiagramError, match=refused(entry)):
+                call()
+
+
+REFUSED = "refused"
+
+PASSES = "point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\ncurve E level 2:\n"
+
+
+def walk_from(d, entry) -> Loop:
+    """The closed walk that starts with entry and follows its curve in the
+    entry's direction."""
+    (curve, index), flag = entry
+    k = len(d.arcs_of(curve))
+    return Loop((entry, *((Arc(curve, (int(index) + j * flag) % k), flag) for j in range(1, k))))
 
 
 @pytest.mark.parametrize("entry, answer", [
-    ((Arc("Z", 0), 0), "arc Z.0 is not an arc of the diagram"),
-    ((Arc("C", 1.0), 2), "arc C.1.0: direction 2 is not +1 or -1"),
-    ((Arc("C", "0"), 1), "arc C.0 is not an arc of the diagram"),
-    ((Arc("C", 0.5), 1), "arc C.0.5 is not an arc of the diagram"),
-    ((Arc("C", 0), "1"), "arc C.0: direction '1' is not +1 or -1"),
-    ((Arc("C", -1), 1), "arc C.-1 is not an arc of the diagram"),
-    ((Arc("C", 2), -1), "arc C.2 is not an arc of the diagram"),
+    ((Arc("Z", 0), 0), REFUSED),
+    ((Arc("C", 1.0), 2), REFUSED),
+    ((Arc("C", "0"), 1), REFUSED),
+    ((Arc("C", 0.5), 1), REFUSED),
+    ((Arc("C", 0), "1"), REFUSED),
+    ((Arc("C", -1), 1), REFUSED),
+    ((Arc("C", 2), -1), REFUSED),
     ((Arc("C", 1), -1), ("b", 0)),
-    ([Arc("D", 0.0), -1.0], ("b", 1)),
+    ([Arc("D", 0.0), -1.0], REFUSED),
     ((Arc("E", 0), 1), None),
     ((Arc("E", 0.0), True), None),
     ((Arc("E", 0), -1), None),
-    ((Arc("E", 1), 1), "arc E.1 is not an arc of the diagram"),
-    ((Arc("E", 0), 2), "arc E.0: direction 2 is not +1 or -1"),
+    ((Arc("E", 1), 1), REFUSED),
+    ((Arc("E", 0), 2), REFUSED),
 ], ids=["foreign-arc-and-direction", "float-index-bad-direction", "string-index", "fractional-index",
         "string-flag", "negative-index", "index-past-the-curve", "reversed", "list-of-floats",
         "pass-less", "pass-less-float-and-bool", "pass-less-reversed", "pass-less-index-1",
         "pass-less-bad-direction"])
 def test_entry_end_pins_its_answer(entry, answer):
-    """entry_end's answer for each entry, the pass (point, slot) or the
-    DiagramError message, on C and D crossing twice plus a pass-less curve
-    E.  A foreign arc is reported before a bad direction."""
-    d = parse_diagram("point a +\npoint b -\ncurve C level 1: a b\ncurve D level 0: b a\ncurve E level 2:\n")
-    if isinstance(answer, str):
-        with pytest.raises(DiagramError, match=f"^{re.escape(answer)}$"):
-            d.entry_end(entry)
-    else:
-        assert d.entry_end(entry) == answer
+    """Where each entry ends, read through meetings, on C and D crossing
+    twice plus a pass-less curve E: the pass (point, slot) at which the
+    first entry of its walk meets the other curves, None when it meets
+    none, or the one DiagramError for an entry the diagram lacks.  A list
+    entry, even of a valid arc and flag, is refused."""
+    d = parse_diagram(PASSES)
+    if answer == REFUSED:
+        with pytest.raises(DiagramError, match=refused(entry)):
+            d.meetings([Loop((entry,))])
+        return
+    others = [d.loop_of(c) for c in d.curves if c != entry[0].curve]
+    met = d.meetings([walk_from(d, entry), *others])
+    assert {(pid, slot) for pid, *strands in met for slot, (i, cell, _) in enumerate(strands)
+            if (i, cell) == (0, 0)} == ({answer} if answer else set())
+
+
+def test_a_word_that_is_no_closed_walk_is_refused_everywhere():
+    """E.0 C.0 C.1 runs the free arc of E, then C: every entry is an arc of
+    the diagram, but C.0 does not leave where E.0 arrives, so it is no
+    Wilson loop and every state sum and bracket refuses it."""
+    d = parse_diagram(PASSES)
+    su2, gl2 = GroupSpec("su2"), GroupSpec("gln", 2)
+    x, y = Loop(((Arc("E", 0), 1), (Arc("C", 0), 1), (Arc("C", 1), 1))), d.loop_of("D")
+    f, g = FormalSum.of((x,), K), FormalSum.of((y,), K)
+    fc, gc = {(x,): 1 + 0j}, {(y,): 1 + 0j}
+    calls = [
+        lambda: star(d, f, g, su2),
+        lambda: star_loops(d, x, y, su2, K),
+        lambda: star_complex(d, fc, gc, su2, 0.1),
+        lambda: expect_loops(d, [(x, 1), (y, -1)], gl2, K),
+        lambda: expect_values(d, [(x, 1), (y, -1)], su2, 0.1),
+        lambda: unoriented_kauffman_resolution(d, [(x, 1), (y, -1)], su2, K),
+        lambda: bracket_loops(d, x, y, gl2),
+        lambda: bracket_loops(d, x, y, su2, "alt"),
+        lambda: bracket_loops(d, x, y, su2, "reversal"),
+        lambda: bracket_poly(d, f, g, su2),
+        lambda: bracket_poly(d, f, g, gl2),
+        lambda: d.crossings_between(x, y),
+    ]
+    for call in calls:
+        with pytest.raises(DiagramError, match="^loop 0 is not a closed walk: "):
+            call()
+
+
+def test_an_empty_word_is_refused():
+    """canonical() refuses an empty word; a Loop built from one by hand
+    was dropped from a state sum, so W_() W_D read as W_D."""
+    d = parse_diagram(PASSES)
+    su2, x, y = GroupSpec("su2"), Loop(()), d.loop_of("D")
+    calls = [
+        lambda: d.meetings([y, x]),
+        lambda: d.crossings_between(y, x),
+        lambda: expect_loops(d, [(y, 1), (x, -1)], su2, K),
+        lambda: expect_values(d, [(y, 1), (x, -1)], su2, 0.1),
+        lambda: unoriented_kauffman_resolution(d, [(y, 1), (x, -1)], su2, K),
+        lambda: star(d, FormalSum.of((y,), K), FormalSum.of((x,), K), su2),
+        lambda: bracket_loops(d, y, x, su2),
+    ]
+    for call in calls:
+        with pytest.raises(DiagramError, match=r"^loop 1 is not a closed walk: Loop\(\)$"):
+            call()
+
+
+@pytest.mark.parametrize("kind", GROUP_KINDS)
+def test_every_loop_the_library_makes_is_a_closed_walk(kind):
+    """The loops of star, bracket_poly in both forms, the two-smoothing
+    resolution, the star_complex keys and a JSON round trip, on seeded
+    random factors: meetings takes every one."""
+    group = GroupSpec(kind, 3 if kind in ("gln", "un") else 2)
+    rng = np.random.default_rng(11)
+    count = 0
+    for _ in range(40):
+        d, f, g = random_factors(rng, 3)
+        product = star(d, f, g, group)
+        sums = [product, formal_sum_from_json(formal_sum_to_json(product), group.convention)]
+        sums += [bracket_poly(d, f, g, group, form) for form in ("alt", "reversal")]
+        [fm], [gm] = f.terms, g.terms
+        if group.orientation_free and len(set(fm)) == len(fm):  # it takes no loop twice
+            sums.append(unoriented_kauffman_resolution(d, [(l, 1) for l in fm] + [(l, -1) for l in gm], group, 3))
+        monomials = [m for s in sums for m in s.terms]
+        monomials += star_complex(d, {fm: 1 + 0j}, {gm: 1 + 0j}, group, 0.1)
+        for loop in {l for m in monomials for l in m}:
+            d.meetings([loop])
+            count += 1
+    assert count > 400
 
 
 # -- poisson limit ----------------------------------------------------------------
