@@ -291,7 +291,8 @@ def level_error(level) -> str | None:
 
 @dataclass
 class Diagram:
-    """Crossing points plus curves, their keys and ids strings; pass slots
+    """Crossing points plus curves, their keys, ids and pass ids strings,
+    each curve's passes a tuple; anything else raises DiagramError.  Pass slots
     follow declaration order (first visit = slot 0, second = slot 1).
     meetings() pairs the strands of closed walks at each point, for the
     bracket and the star, and refuses any word that is not a closed walk.
@@ -306,8 +307,10 @@ class Diagram:
     points: dict[str, CrossingPoint] = field(default_factory=dict)
 
     def __post_init__(self):
-        for kind, table in (("curve", self.curves), ("point", self.points)):
+        for kind, table, cls in (("curve", self.curves, Curve), ("point", self.points, CrossingPoint)):
             for key, v in table.items():  # before the sorts below
+                if not isinstance(v, cls):
+                    raise DiagramError(f"{kind} {key!r} holds {v!r}, not a {cls.__name__}")
                 if not (isinstance(key, str) and isinstance(v.id, str)):
                     raise DiagramError(f"{kind} key {key!r} and id {v.id!r} must be strings")
         self._visits: dict[str, int] = dict.fromkeys(self.points, 0)
@@ -315,8 +318,12 @@ class Diagram:
         # arrives at, the one it leaves): arc i runs from pass i to pass i + 1
         self._ends: dict[WordEntry, tuple] = {}
         for key, c in self.curves.items():
+            if not isinstance(c.passes, tuple):
+                raise DiagramError(f"curve {key}: passes {c.passes!r} are not a tuple of point ids")
             k = len(c.passes)
             for pos, pid in enumerate(c.passes):
+                if not isinstance(pid, str):
+                    raise DiagramError(f"curve {key}: pass {pid!r} is not a point id string")
                 slot = self._visits.get(pid, 0)
                 self._visits[pid] = slot + 1
                 self._ends[Arc(key, (pos - 1) % k), 1] = ((pid, slot), pid, c.passes[pos - 1])

@@ -26,6 +26,14 @@ the product.  The closed-form numeric path visits every state.  One exact
 body serves the series and the two-smoothing sums, and both price a state
 from one count table, by its numbers of toggled over- and under-crossings.
 
+Each state's cycles are walked from their start cells in the order of the
+cells' entry ranks, so every cycle is found from its least-rank cell.  When
+no arc repeats among the cells, that cell is the cycle's least arc, where
+its canonical form starts, and the cycles come in monomial order: a new
+cycle becomes its Loop with no rotation search and a monomial needs no
+sort.  A repeated arc (a loop stacked twice, a word through one arc twice)
+falls back to least_form and a sort.
+
 The rank-2 two-smoothing resolution walks doubled cells, cell c + n being
 cell c walked backwards.  It starts from every crossing at its compatible
 smoothing, the oriented swap applied to both halves; the reversal
@@ -106,17 +114,24 @@ class Stacked:
         # compare ints, not key tuples
         self.entries = fwd + [(a, -dr) for a, dr in fwd]
         self.keys = list(map(d.entry_ranks().__getitem__, self.entries))
-        # per convention (oriented, unoriented), the (rank key, Loop) of
-        # each cell cycle canonicalized so far, keyed by its cell sequence:
-        # states share most of their cycles, so one state sum
-        # canonicalizes each distinct cycle once
+        # the forward cells by entry rank: a walk that takes its start cells
+        # in this order finds each cycle from its least-rank cell
+        self.starts = sorted(range(len(fwd)), key=self.keys.__getitem__)
+        # no arc repeats among the cells: then that cell is the cycle's
+        # least arc, where its canonical form starts (see canonical_monomial)
+        self.distinct_arcs = len({a for a, _ in fwd}) == len(fwd)
+        # per convention (oriented, unoriented), the Loop of each cell cycle
+        # canonicalized so far, with its rank key when an arc repeats, keyed
+        # by its cell sequence: states share most of their cycles, so one
+        # state sum canonicalizes each distinct cycle once
         self._loops: tuple[dict, dict] = ({}, {})
 
     def cycles(self, succ: list[int]) -> list[list[int]]:
-        """The loops of a state as lists of cells, each from its first cell."""
+        """The loops of a state as lists of cells, each from its least-rank
+        cell, in the order of those cells' ranks."""
         seen = [False] * len(succ)
         out = []
-        for start in range(len(succ)):
+        for start in self.starts:
             if seen[start]:
                 continue
             cycle = []
@@ -129,15 +144,36 @@ class Stacked:
         return out
 
     def canonical_monomial(self, cycles: list[list[int]], unoriented: bool) -> Monomial:
-        """monomial(canonical(word) for each cycle), from the cell ranks.
+        """monomial(canonical(word) for each cycle), from the cycles of one
+        walk, each from its least-rank cell and in the order of those cells.
         The reversed loop walks the cycle backwards through the mirrored
         cells, c + n mod 2n, which as an index into the 2n doubled cells is
         c - n.  A cycle's cell sequence fixes its loop, since every cycle
-        starts at its first cell, so each distinct one is canonicalized
-        once."""
+        starts at the same cell, so each distinct one is canonicalized
+        once.
+
+        When no arc repeats among the cells, a cycle's ranks are distinct,
+        so its least rotation starts at its first cell, its least arc; the
+        reversal starts at that arc too and wins exactly when the arc's
+        entry is reversed, since (a, +1) ranks below (a, -1).  The loops'
+        first entries then rise in walk order, so the walk is the monomial
+        order.  When an arc repeats, each cycle takes least_form's least
+        rotation and the loops are sorted."""
         memo = self._loops[unoriented]
-        keys = self.keys
+        entries, keys = self.entries, self.keys
         n = len(self.succ)
+        if self.distinct_arcs:
+            out = []
+            for cycle in cycles:
+                cells = tuple(cycle)
+                loop = memo.get(cells)
+                if loop is None:
+                    c, seq = cycle[0], cycle
+                    if unoriented and keys[c - n] < keys[c]:  # c's entry is reversed
+                        seq = [x - n for x in cycle[:1] + cycle[:0:-1]]
+                    loop = memo[cells] = Loop(tuple(map(entries.__getitem__, seq)))
+                out.append(loop)
+            return tuple(out)
         loops = []
         for cycle in cycles:
             cells = tuple(cycle)
@@ -148,7 +184,7 @@ class Stacked:
                     [keys[c - n] for c in reversed(cycle)] if unoriented else None,
                 )
                 seq = [c - n for c in reversed(cycle)] if flipped else cycle
-                word = tuple(map(self.entries.__getitem__, seq[start:] + seq[:start]))
+                word = tuple(map(entries.__getitem__, seq[start:] + seq[:start]))
                 found = memo[cells] = (key, Loop(word))
             loops.append(found)
         loops.sort(key=itemgetter(0))
@@ -430,12 +466,13 @@ def assoc_check(
 
 def _pairing_circles(st: Stacked, succ: list[int]) -> list[list[int]]:
     """The circles of a two-smoothing state on the doubled cells, each once:
-    walked from its first forward cell, the walk through the mirrored cells
-    being the same circle reversed."""
+    walked from its least-rank forward cell, in the order of those cells'
+    ranks, the walk through the mirrored cells being the same circle
+    reversed."""
     n = len(st.succ)
     seen = [False] * n
     out = []
-    for start in range(n):
+    for start in st.starts:
         if seen[start]:
             continue
         cycle, c = [], start

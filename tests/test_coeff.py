@@ -385,8 +385,9 @@ def test_group_spec_invariants():
     assert GroupSpec("un", 4).delta == 6
     with pytest.raises(CoeffError):
         GroupSpec("so3")
-    with pytest.raises(CoeffError):
-        GroupSpec("su2", 3)
+    for kind, n in (("su2", 3), ("su2", 1), ("sl2r", 3), ("sl2c", 1)):
+        with pytest.raises(CoeffError, match=f"^{kind} requires n=2$"):
+            GroupSpec(kind, n)
     assert GroupSpec("sl2c").orientation_free
     assert not GroupSpec("un", 2).orientation_free
 

@@ -146,6 +146,24 @@ def test_a_point_id_that_is_not_a_string_is_rejected_when_built(points, message)
         Diagram(curves=curves, points=points)
 
 
+@pytest.mark.parametrize("curves, points, message", [
+    ({"C": Curve("C", "ab"), "D": Curve("D", "ba")}, "ab", "curve C: passes 'ab' are not a tuple of point ids"),
+    ({"C": Curve("C", ["a", "b"]), "D": Curve("D", ("b", "a"))}, "ab",
+     r"curve C: passes \['a', 'b'\] are not a tuple of point ids"),
+    ({"C": Curve("C", (["a"],))}, "a", r"curve C: pass \['a'\] is not a point id string"),
+    ({"C": Curve("C", ("a", 1)), "D": Curve("D", ("a",))}, "a", "curve C: pass 1 is not a point id string"),
+    ({"C": ("a",), "D": Curve("D", ("a",))}, "a", r"curve 'C' holds \('a',\), not a Curve"),
+    ({"C": Curve("C", ("a",)), "D": Curve("D", ("a",))}, {"a": 1}, "point 'a' holds 1, not a CrossingPoint"),
+], ids=["str-passes", "list-passes", "list-pass", "int-pass", "tuple-curve", "int-point"])
+def test_a_curve_or_point_of_the_wrong_type_is_rejected_when_built(curves, points, message):
+    """A str of passes would read as one pass per character, and a list
+    pass cannot be hashed; a curve or point that is not one has no id."""
+    if isinstance(points, str):
+        points = {p: CrossingPoint(p, 1) for p in points}
+    with pytest.raises(DiagramError, match=f"^{message}$"):
+        Diagram(curves=curves, points=points)
+
+
 @pytest.mark.parametrize("level, same_as", [(True, 1), (2.5, 1), (float("inf"), 1), (-0.5, -1)], ids=repr)
 def test_a_level_that_orders_keeps_its_answer(level, same_as):
     from loopstar.star import expect_diagram
@@ -434,6 +452,14 @@ def test_a_sum_takes_no_term_of_another_order():
         FormalSum.of(m1, 4).add_term(m1, SeriesCoeff.one(8))
     with pytest.raises(CoeffError):
         FormalSum(order=4).add_term(m2, SeriesCoeff.one(8))
+
+
+def test_truncated_never_extends_a_sum_even_an_empty_one():
+    d = parse_diagram(ONE_CROSSING)
+    for fs in (FormalSum.zero(4), FormalSum.of(monomial([d.loop_of("C")]), 4)):
+        with pytest.raises(CoeffError, match="^cannot extend a sum of order 4 to order 8$"):
+            fs.truncated(8)
+        assert fs.truncated(4) is fs
 
 
 def test_add_scaled_copies_only_a_sum_of_its_own_order():

@@ -8,8 +8,9 @@ They hold only what the diagram fixes, so every call leaves them as a
 freshly parsed diagram has them.
 
 The counters replace the module attributes that loopstar calls through at
-run time (holonomy._wilson_values, goldman.bracket_loops, star.least_form,
-Stacked.cycles), the way the benchmark's tracer rebinds them.
+run time (holonomy._wilson_values, goldman.bracket_loops, the Loop class
+that star builds its cycles' loops with, Stacked.cycles), the way the
+benchmark's tracer rebinds them.
 """
 
 import importlib
@@ -135,9 +136,9 @@ def test_each_assignment_gets_its_own_value(group):
 
 @pytest.mark.parametrize("group", GROUPS, ids=str)
 def test_state_sum_canonicalizes_each_distinct_cycle_once_per_call(group, monkeypatch):
-    """expect_loops at K=8 on two curves crossing 10 times: least_form
-    runs once per distinct cell cycle of the visited states, fewer times
-    than there are cycles, and again as often in a second call."""
+    """expect_loops at K=8 on two curves crossing 10 times: star builds
+    one Loop per distinct cell cycle of the visited states, fewer than
+    there are cycles, and again as many in a second call."""
     rng = random.Random(0)
     order = list(range(10))
     rng.shuffle(order)
@@ -146,7 +147,7 @@ def test_state_sum_canonicalizes_each_distinct_cycle_once_per_call(group, monkey
                       + "\ncurve D level 0: " + " ".join(f"x{j}" for j in order) + "\n")
     conv = group.convention
     leveled = [(canonical(d.loop_of(c).word, conv), level) for c, level in (("C", 1), ("D", -1))]
-    calls = counting(monkeypatch, star_module, "least_form")
+    calls = counting(monkeypatch, star_module, "Loop")
     cycles = []
     walk = Stacked.cycles
 
