@@ -51,9 +51,7 @@ def _load_diagram(path: str):
             text = fh.read()
     except OSError as e:
         raise CliError(str(e))
-    d = parse_diagram(text)
-    d.require_valid()
-    return d
+    return parse_diagram(text)
 
 
 def _split_factors(d, order: int) -> tuple[FormalSum, FormalSum]:

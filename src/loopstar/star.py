@@ -24,7 +24,10 @@ coefficient of h-order at least s, and one with s > K truncates to zero.
 This h-filtration is what makes the Goldman bracket the classical limit of
 the product.  The closed-form numeric path visits every state.  One exact
 body serves the series and the two-smoothing sums, and both price a state
-from one count table, by its numbers of toggled over- and under-crossings.
+from one flat count table, by its numbers of toggled over- and
+under-crossings.  The walk carries each state's index into that table,
+moving it by one crossing's weight per toggle, and the body merges each
+state's term into the sum with one dict probe.
 
 Each state's cycles are walked from their start cells in the order of the
 cells' entry ranks, so every cycle is found from its least-rank cell.  When
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations, compress, product
+from itertools import accumulate, combinations, product
 from operator import index, itemgetter, mul
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -192,20 +195,27 @@ class Stacked:
 
 
 def _states(
-    succ: Sequence[int], swaps: Sequence[Sequence[tuple[int, int]]], budget: int | None = None
-) -> Iterator[tuple[list[bool], list[int]]]:
+    succ: Sequence[int],
+    swaps: Sequence[Sequence[tuple[int, int]]],
+    budget: int | None = None,
+    weights: Sequence[int] | None = None,
+) -> Iterator[tuple[list[bool], list[int], int]]:
     """Depth-first over the resolution states: crossing j toggles by
     applying the successor swaps swaps[j], which touch distinct positions,
     so applying them again untoggles it.  The untoggled branch comes first:
     the states come as a binary count with crossing 0 most significant.  A
     branch with more than budget toggled crossings is cut.  Yields
-    (toggled, succ) per state: one shared list of flags and one shared
-    successor array, both valid until the next state."""
+    (toggled, succ, index) per state: one shared list of flags and one
+    shared successor array, both valid until the next state, and the sum of
+    weights[j] over the toggled crossings, kept by adding or subtracting
+    weights[j] as crossing j toggles or untoggles (0 without weights)."""
     succ = list(succ)
     toggled = [False] * len(swaps)
+    weights = [0] * len(swaps) if weights is None else weights
     left = len(swaps) if budget is None else budget
+    index = 0
     while True:
-        yield toggled, succ
+        yield toggled, succ, index
         # next state: untoggle the trailing crossings, then toggle the last
         # crossing before them that the budget allows
         j = len(swaps) - 1
@@ -215,6 +225,7 @@ def _states(
                     succ[a], succ[b] = succ[b], succ[a]
                 toggled[j] = False
                 left += 1
+                index -= weights[j]
             j -= 1
         if j < 0:
             return
@@ -222,6 +233,7 @@ def _states(
             succ[a], succ[b] = succ[b], succ[a]
         toggled[j] = True
         left -= 1
+        index += weights[j]
 
 
 def _stackings(factors: Sequence[Mapping[Monomial, object]], levels: Sequence[int]):
@@ -250,9 +262,10 @@ def _stacked_sum(
 
 def _count_table(over_pair, under_pair, n_over: int, n_under: int, order: int, cut: int | None):
     """State coefficients by toggled counts, each pair being a crossing
-    type's (untoggled, toggled) coefficients: table[i][j] is toggled^i *
-    untoggled^(n_over - i) of the over pair times the same of the under pair
-    with j and n_under.  With a cut, the rows stop at i + j <= cut."""
+    type's (untoggled, toggled) coefficients, as one flat tuple: entry
+    i * (n_under + 1) + j is toggled^i * untoggled^(n_over - i) of the over
+    pair times the same of the under pair with j and n_under.  With a cut,
+    the rows stop at i = cut and entries with i + j > cut are None."""
     one = SeriesCoeff.one(order)
 
     def type_factors(pair, n: int) -> list[SeriesCoeff]:
@@ -262,28 +275,51 @@ def _count_table(over_pair, under_pair, n_over: int, n_under: int, order: int, c
         return [t * untoggled[n - s] for s, t in enumerate(toggled)]
 
     over, under = type_factors(over_pair, n_over), type_factors(under_pair, n_under)
-    return tuple(tuple(a * b for b in under[: None if cut is None else cut - i + 1]) for i, a in enumerate(over))
+    return tuple(
+        a * under[j] if cut is None or i + j <= cut else None for i, a in enumerate(over) for j in range(n_under + 1)
+    )
 
 
 @lru_cache(maxsize=256)
-def _state_table(group: GroupSpec, order: int, n_over: int, n_under: int) -> tuple[tuple[SeriesCoeff, ...], ...]:
+def _state_table(group: GroupSpec, order: int, n_over: int, n_under: int) -> tuple[SeriesCoeff | None, ...]:
     """_count_table of the group's (virtual, smooth) pairs, cut at order
     smoothings as the walk is.  The cut is exact only while no smoothing
-    coefficient has an h^0 term, so one that has raises StarError.  Cached
-    per process; the tuples keep shared entries immutable."""
+    coefficient has an h^0 term, so one that has raises StarError; so does
+    a zero entry within the cut, which _exact_sum would insert as a term.
+    Cached per process; the tuple keeps shared entries immutable."""
     over, under = (crossing_coeffs(group, t, order) for t in ("over", "under"))
     if over.smooth[0] or under.smooth[0]:
         raise StarError(f"{group}: a smoothing coefficient has an h^0 term; the cut at K is not exact")
-    return _count_table((over.virtual, over.smooth), (under.virtual, under.smooth), n_over, n_under, order, order)
+    table = _count_table((over.virtual, over.smooth), (under.virtual, under.smooth), n_over, n_under, order, order)
+    if any(c is not None and c.is_zero() for c in table):
+        raise StarError(f"{group}: a state coefficient within the cut at K is zero")
+    return table
 
 
 def _exact_sum(st: Stacked, start, swaps, over, table, walk, unoriented: bool, order: int, cut=None) -> FormalSum:
     """The exact state sum: each state's monomial, from the cycles walk(st,
-    succ) finds, times table[i][j], i and j its toggled over- and under-crossings."""
+    succ) finds, times the table entry of its toggled over- and
+    under-crossings (i, j).  The walk carries the entry's index
+    i * (n_under + 1) + j, an over-crossing weighing n_under + 1 and an
+    under-crossing 1.  Each term merges with one dict probe, as add_term
+    would merge it; no entry of the table is zero (the series table refuses
+    one, and a two-smoothing entry a^i b^j has h^0 term +-1), so a new
+    monomial goes in as it is."""
     out = FormalSum.zero(order)
-    for toggled, succ in _states(start, swaps, cut):
-        i = sum(compress(over, toggled))
-        out.add_term(st.canonical_monomial(walk(st, succ), unoriented), table[i][sum(toggled) - i])
+    terms = out.terms
+    stride = len(over) - sum(over) + 1
+    weights = [stride if o else 1 for o in over]
+    for _, succ, i in _states(start, swaps, cut, weights):
+        m = st.canonical_monomial(walk(st, succ), unoriented)
+        c = table[i]
+        n = len(terms)
+        cur = terms.setdefault(m, c)
+        if len(terms) == n:  # m was already there: cur may be c itself
+            tot = cur + c
+            if tot.is_zero():
+                del terms[m]
+            else:
+                terms[m] = tot
     return out
 
 
@@ -328,7 +364,7 @@ def expect_values(
     swaps = [[(a.cell_top, a.cell_bottom)] for a in st.active]
     unoriented = group.orientation_free
     out: dict[Monomial, complex] = {}
-    for smoothed, succ in _states(st.succ, swaps):
+    for smoothed, succ, _ in _states(st.succ, swaps):
         m = st.canonical_monomial(st.cycles(succ), unoriented)
         coeff = 1.0 + 0j
         for (cv, cs), s in zip(steps, smoothed):

@@ -12,6 +12,7 @@ is written under bench/.
 import ast
 import importlib
 import pathlib
+from math import comb
 
 import pytest
 
@@ -98,3 +99,49 @@ def test_cli_writes_through_the_traced_writer_once(verb, monkeypatch, capsys):
     assert len(calls) == 1
     assert cli.main([verb, "--format", "text", str(diagram)]) == 0
     assert len(calls) == 2
+
+
+def test_state_sums_walk_each_state_through_the_traced_names(monkeypatch):
+    """bench/tracer.py counts star.states through Stacked.cycles and
+    star.full_states after each expect_loops call.  On two curves crossing
+    10 times at K=8, expect_loops must call Stacked.cycles once per visited
+    state and FormalSum.add_term never, and star must reach its state sums
+    only through expect_loops."""
+    ls = importlib.import_module("loopstar")
+    star_module = importlib.import_module("loopstar.star")
+    k, order = 10, 8
+    points = "".join(f"point x{i} {'+-'[i % 2]}\n" for i in range(k))
+    passes = " ".join(f"x{i}" for i in range(k))
+    d = ls.parse_diagram(points + f"curve C level 1: {passes}\ncurve D level 0: {passes}\n")
+    x, y = d.loop_of("C"), d.loop_of("D")
+    calls = {"cycles": 0, "add_term": 0, "sums": 0}
+    inside = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def expect_loops(*args, **kwargs):
+        inside.append(True)
+        try:
+            return expect(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def exact_sum(*args):
+        assert inside, "a state sum outside expect_loops"
+        calls["sums"] += 1
+        return exact(*args)
+
+    expect, exact = star_module.expect_loops, star_module._exact_sum
+    monkeypatch.setattr(star_module.Stacked, "cycles", counted("cycles", star_module.Stacked.cycles))
+    monkeypatch.setattr(ls.FormalSum, "add_term", counted("add_term", ls.FormalSum.add_term))
+    monkeypatch.setattr(star_module, "expect_loops", expect_loops)
+    monkeypatch.setattr(star_module, "_exact_sum", exact_sum)
+    want = star_module.expect_loops(d, [(x, 1), (y, -1)], ls.GroupSpec("su2"), order)
+    assert calls == {"cycles": sum(comb(k, s) for s in range(order + 1)), "add_term": 0, "sums": 1}
+    f, g = (ls.FormalSum.of(ls.monomial([l]), order) for l in (x, y))
+    assert star_module.star(d, f, g, ls.GroupSpec("su2"), order) == want
+    assert calls["sums"] == 2

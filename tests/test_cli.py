@@ -116,11 +116,27 @@ def test_check_deterministic(capsys):
     assert out1 == out2
 
 
+# invalid diagrams and their validation messages
+INVALID_DIAGRAMS = {
+    "point a +\ncurve C level 1: a b\ncurve D level 0: a\n": "undeclared point b",
+    "point a +\ncurve C level 0: a a a\n": "triple point",
+    "point a +\npoint b +\ncurve C level 1: a b\ncurve D level 0: a\n": "point b: only one pass",
+    "point a +\npoint b +\ncurve C level 1: a\ncurve D level 0: a\n": "point b: declared but never visited",
+    "point a +\n": "point a: declared but never visited",  # no curves
+}
+
+
 def test_domain_error_exit_1(tmp_path, capsys):
+    """The CLI leaves validation to each verb's library call: star, expect
+    and bracket, plain, under --eval-beta and as text, refuse every invalid
+    diagram with exit 1, its validation message and no output."""
     bad = tmp_path / "bad.ls"
-    bad.write_text("point a +\ncurve C level 0: a a a\n")
-    code, _, err = run(capsys, "expect", str(bad))
-    assert code == 1 and "triple" in err
+    for text, message in INVALID_DIAGRAMS.items():
+        bad.write_text(text)
+        for verb in ("star", "expect", "bracket"):
+            for mode in ([], ["--eval-beta", "0.1"], ["--format", "text"]):
+                code, out, err = run(capsys, verb, *mode, str(bad))
+                assert code == 1 and out == "" and message in err, (text, verb, mode, err)
     missing = tmp_path / "nope.ls"
     code, _, err = run(capsys, "star", str(missing))
     assert code == 1

@@ -23,7 +23,7 @@ from loopstar.coeff import (
     crossing_coeffs,
     kauffman_coeffs,
 )
-from loopstar.diagram import Arc, Loop, canonical, entry_key, monomial, parse_diagram, reverse_word
+from loopstar.diagram import Arc, FormalSum, Loop, canonical, entry_key, monomial, parse_diagram, reverse_word
 from loopstar.star import (
     Stacked,
     StarError,
@@ -122,7 +122,7 @@ def test_canonical_monomial_memo_matches_fresh_canonical_forms(stack, group, rev
     st_ = Stacked(d, leveled)
     swaps = [[(st_.active[i].cell_top, st_.active[i].cell_bottom)] for i in resolution_order]
     first = group.convention == "unoriented"
-    for _, succ in _states(st_.succ, swaps):
+    for _, succ, _ in _states(st_.succ, swaps):
         cycles = st_.cycles(succ)
         words = [[st_.entries[c] for c in cycle] for cycle in cycles]
         for unoriented in (first, not first):
@@ -171,7 +171,7 @@ def test_mirrored_cells_give_the_unoriented_canonical_form(stack, reversed_):
     leveled = [(Loop(reverse_word(l.word)) if r else l, level) for (l, level), r in zip(leveled, reversed_)]
     st_ = Stacked(d, leveled)
     swaps = [[(a.cell_top, a.cell_bottom)] for a in st_.active]
-    states = [(st_, st_.cycles(succ)) for _, succ in _states(st_.succ, swaps)]
+    states = [(st_, st_.cycles(succ)) for _, succ, _ in _states(st_.succ, swaps)]
     circles = pairing_circles_of(d, leveled)
     n = len(st_.succ)
     # a reversal smoothing walks into the mirrored cells
@@ -207,9 +207,10 @@ def test_state_tables_cached_per_group_order_and_counts():
         assert got.terms == {m: c for m, c in want.items() if not c.is_zero()}, (group, order, i)
     assert _state_table.cache_info().hits > 0
     table = _state_table(GroupSpec("su2"), 2, 3, 1)
-    assert type(table) is tuple and all(type(row) is tuple for row in table)
-    # rows stop at i + j <= order: states beyond it are never visited
-    assert [len(row) for row in table] == [2, 2, 1]
+    assert type(table) is tuple
+    # entry (i, j) at 2 * i + j; the rows stop at i = order, and entries
+    # with i + j > order, states that are never visited, are None
+    assert [c is not None for c in table] == [True, True, True, True, True, False]
 
 
 def test_smoothing_with_an_h0_term_is_an_error(monkeypatch):
@@ -250,9 +251,10 @@ PAIR_SOURCES["kauffman"] = kauffman_pairs
 @pytest.mark.parametrize("source", sorted(PAIR_SOURCES))
 def test_count_table_matches_the_per_state_product(source, order):
     """For every state of up to 5 over- and 5 under-crossings, in a shuffled
-    type order, table[i][j] of its toggled counts equals (==) the product of
-    its crossings' untoggled or toggled coefficients taken left to right,
-    uncut and cut at order; the cut rows stop at i + j <= order."""
+    type order, entry i * (n_under + 1) + j of its toggled counts equals
+    (==) the product of its crossings' untoggled or toggled coefficients
+    taken left to right, uncut and cut at order; the cut table stops at row
+    i = order and holds None where i + j > order."""
     over_pair, under_pair = PAIR_SOURCES[source](order)
     rng = random.Random(order)
     for n_over, n_under in product(range(6), repeat=2):
@@ -267,13 +269,123 @@ def test_count_table_matches_the_per_state_product(source, order):
         for mask, want in states.items():
             i = sum(t for t, o in zip(mask, is_over) if o)
             j = sum(mask) - i
-            assert tables[None][i][j] == want, (n_over, n_under, mask)
+            assert tables[None][i * (n_under + 1) + j] == want, (n_over, n_under, mask)
             if i + j <= order:
-                assert tables[order][i][j] == want, (n_over, n_under, mask)
-        assert [len(row) for row in tables[None]] == [n_under + 1] * (n_over + 1)
-        assert [len(row) for row in tables[order]] == [
-            min(n_under, order - i) + 1 for i in range(min(n_over, order) + 1)
+                assert tables[order][i * (n_under + 1) + j] == want, (n_over, n_under, mask)
+        assert len(tables[None]) == (n_over + 1) * (n_under + 1)
+        assert [c is not None for c in tables[order]] == [
+            i + j <= order for i in range(min(n_over, order) + 1) for j in range(n_under + 1)
         ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8).flatmap(
+    lambda k: st.tuples(st.lists(st.integers(-5, 9), min_size=k, max_size=k), st.none() | st.integers(0, k))
+))
+def test_states_carry_the_weighted_index(case):
+    """Each state's index is the sum of weights[j] over its toggled
+    crossings, its successor array has exactly those crossings swapped, and
+    the flags come as a plain binary count, crossing 0 most significant,
+    cut at the budget.  Without weights the index stays 0."""
+    weights, budget = case
+    k = len(weights)
+    swaps = [[(2 * j, 2 * j + 1)] for j in range(k)]
+    seen = []
+    for toggled, succ, index in _states(range(2 * k), swaps, budget, weights):
+        assert index == sum(w for w, t in zip(weights, toggled) if t)
+        assert succ == [c ^ toggled[c // 2] for c in range(2 * k)]
+        seen.append(tuple(toggled))
+    cap = k if budget is None else budget
+    assert seen == [bits for bits in product((False, True), repeat=k) if sum(bits) <= cap]
+    assert {index for _, _, index in _states(range(2 * k), swaps, budget)} == {0}
+
+
+def fold_with_add_term(st_, start, swaps, over, table, walk, unoriented, order, cut=None):
+    """_exact_sum's reference: the same states folded through
+    FormalSum.add_term, each state's (i, j) recounted from its flags."""
+    out = FormalSum.zero(order)
+    stride = len(over) - sum(over) + 1
+    for toggled, succ, _ in _states(start, swaps, cut):
+        i = sum(t for t, o in zip(toggled, over) if o)
+        out.add_term(st_.canonical_monomial(walk(st_, succ), unoriented), table[i * stride + sum(toggled) - i])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_one_probe_merge_matches_add_term(seed, monkeypatch):
+    """Every exact state sum, the series one in every group and the
+    two-smoothing one, must give the terms that folding its states through
+    add_term gives, in the same insertion order.  The series stacks hold a
+    loop twice, so that states share a monomial and their terms merge."""
+    exact = star_module._exact_sum
+    merged = []
+
+    def checked(st_, start, swaps, over, table, walk, unoriented, order, cut=None):
+        args = st_, start, swaps, over, table, walk, unoriented, order, cut
+        got = exact(*args)
+        want = fold_with_add_term(*args)
+        assert list(got.terms.items()) == list(want.terms.items())
+        merged.append(sum(1 for _ in _states(start, swaps, cut)) > len(got))
+        return got
+
+    monkeypatch.setattr(star_module, "_exact_sum", checked)
+    rng = np.random.default_rng(seed)
+    d = random_diagram(rng, n_curves=2, max_pair_crossings=3)
+    x, y = (d.loop_of(c) for c in d.curves)
+    order = int(rng.integers(1, 5))  # at order 0 only the unsmoothed state is visited
+    for group in GROUPS:
+        expect_loops(d, [(x, 1), (x, 1), (y, -1)], group, order)
+        expect_loops(d, [(y, 1), (x, -1), (x, -1)], group, order)
+    unoriented_kauffman_resolution(d, [(x, 1), (y, -1)], GroupSpec("su2"), order)
+    assert len(merged) == 2 * len(GROUPS) + 1
+    # x crosses y at least once: the repeated loop makes states share a monomial
+    assert any(merged) == bool(d.crossings_between(x, y))
+
+
+class Cells:
+    """Stands in for a Stacked in _exact_sum: the walk hands over each
+    state's successor array, and monos maps it to the state's monomial (any
+    hashable key does for a dict)."""
+
+    def __init__(self, monos):
+        self.monos = monos
+
+    def canonical_monomial(self, cycles, unoriented):
+        return self.monos[cycles]
+
+
+def test_a_merge_to_zero_deletes_the_term_and_a_later_state_reinserts_it():
+    """Two under-crossings on a +-1 table: the states 00, 01, 10, 11 carry
+    table[0], table[1], table[1], table[2].  M's first two terms cancel, so
+    M leaves the sum; 11 brings it back after N."""
+    one = SeriesCoeff.one(0)
+    states = {(0, 1, 2, 3): "M", (0, 1, 3, 2): "M", (1, 0, 2, 3): "N", (1, 0, 3, 2): "M"}
+    args = (Cells(states), [0, 1, 2, 3], [[(0, 1)], [(2, 3)]], [False, False], (one, -one, one),
+            lambda cells, succ: tuple(succ), False, 0)
+    got = star_module._exact_sum(*args)
+    assert list(got.terms.items()) == [("N", -one), ("M", one)]
+    assert list(got.terms.items()) == list(fold_with_add_term(*args).terms.items())
+    # one table object under M already: the sum adds it, it does not replace it
+    args = (Cells(dict.fromkeys(states, "M")), *args[1:4], (one,) * 3, *args[5:])
+    assert list(star_module._exact_sum(*args).terms.items()) == [("M", 4 * one)]
+
+
+def test_a_zero_state_coefficient_within_the_cut_is_an_error(monkeypatch):
+    """The one-probe merge inserts a new monomial's coefficient unchecked,
+    so the series table refuses a zero entry when it is built."""
+
+    def with_zero_virtual(group, ctype, order):
+        cc = crossing_coeffs(group, ctype, order)
+        return CrossingCoeffs(SeriesCoeff.constant(0, order), cc.smooth)
+
+    d, leveled = two_curves("+-")
+    monkeypatch.setattr(star_module, "crossing_coeffs", with_zero_virtual)
+    _state_table.cache_clear()
+    try:
+        with pytest.raises(StarError, match="zero"):
+            expect_loops(d, leveled, GroupSpec("su2"), 3)
+    finally:
+        _state_table.cache_clear()
 
 
 def test_series_path_visits_only_states_within_order(monkeypatch):
