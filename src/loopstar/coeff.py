@@ -77,7 +77,7 @@ class SeriesCoeff:
     positive int denominator with gcd(den, *num) == 1 (zero has den == 1),
     so equal values have equal fields.  coeffs is the same value as a tuple
     of Fractions.  Arithmetic truncates at the order; all values are
-    immutable.
+    immutable; copies and pickles are rebuilt from num and den.
     """
 
     __slots__ = ("num", "den")
@@ -226,6 +226,9 @@ class SeriesCoeff:
 
     def __hash__(self):
         return hash((self.num, self.den))
+
+    def __reduce__(self):
+        return SeriesCoeff._reduced, (self.num, self.den)
 
     def __repr__(self):
         terms = [f"{c}*h^{k}" for k, c in enumerate(self.coeffs) if c]

@@ -202,45 +202,69 @@ class FormalSum:
         return cls({m: SeriesCoeff.one(order)}, order=order)
 
     def add_term(self, m: Monomial, c) -> None:
-        """Add c to the coefficient of m; a series of another order raises
-        CoeffError, as SeriesCoeff addition does."""
+        """Add c to the coefficient of m, an int or Fraction c as a constant
+        series; a series of another order raises CoeffError, as SeriesCoeff
+        addition does, and leaves the terms as they were.  A new m goes in
+        with one dict probe; a zero sum drops m, so a later add puts it
+        last."""
         if not isinstance(c, SeriesCoeff):
             c = SeriesCoeff.constant(c, self.order)
-        cur = self.terms.get(m)
-        if cur is None and c.order != self.order:
+        elif c.order != self.order:
             raise CoeffError(f"a term of order {c.order} in a sum of order {self.order}")
-        tot = c if cur is None else cur + c
+        terms = self.terms
+        n = len(terms)
+        cur = terms.setdefault(m, c)
+        if len(terms) != n:  # m is new: c went in as it is
+            if c.is_zero():
+                del terms[m]
+            return
+        tot = cur + c
         if tot.is_zero():
-            self.terms.pop(m, None)
+            del terms[m]
         else:
-            self.terms[m] = tot
+            terms[m] = tot
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
+        if not isinstance(other, FormalSum):
+            return NotImplemented
         out = FormalSum(dict(self.terms), order=self.order)
         for m, c in other.terms.items():
             out.add_term(m, c)
         return out
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
+        if not isinstance(other, FormalSum):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, c) -> "FormalSum":
+        out = FormalSum(order=self.order)
+        out.add_scaled(self, c)
+        return out
+
+    def add_scaled(self, other: "FormalSum", c) -> None:
+        """self += c * other, in place, an int or Fraction c read as
+        add_term reads it: a plain copy into an empty sum when c is one and
+        the orders agree, else one product per distinct coefficient of
+        other."""
         if not isinstance(c, SeriesCoeff):
             c = SeriesCoeff.constant(c, self.order)
-        return FormalSum({m: c * v for m, v in self.terms.items()}, order=self.order)
+        self._add_scaled(other, c, {})
 
-    def add_scaled(self, other: "FormalSum", c: SeriesCoeff) -> None:
-        """self += c * other, in place: a plain copy into an empty sum when
-        c is one and the orders agree, else one product per distinct
-        coefficient of other."""
+    def _add_scaled(
+        self, other: "FormalSum", c: SeriesCoeff, products: dict[SeriesCoeff, dict[SeriesCoeff, SeriesCoeff]]
+    ) -> None:
+        """add_scaled, each product c * v looked up in products[c][v] first:
+        a caller that passes one dict to all its merges forms each distinct
+        product once."""
         if not self.terms and c.is_one() and c.order == self.order == other.order:
             self.terms.update(other.terms)
             return
-        products: dict[SeriesCoeff, SeriesCoeff] = {}
+        row = products.setdefault(c, {})
         for m, v in other.terms.items():
-            cv = products.get(v)
+            cv = row.get(v)
             if cv is None:
-                cv = products[v] = c * v
+                cv = row[v] = c * v
             self.add_term(m, cv)
 
     def truncated(self, order: int) -> "FormalSum":

@@ -11,6 +11,7 @@ formal sums.  Monomials extend by the Leibniz rule.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .coeff import DEFAULT_ORDER, GroupSpec, SeriesCoeff
 from .diagram import (
@@ -37,14 +38,22 @@ def _rotated(loop: Loop, gap: int) -> tuple:
     return loop.word[gap + 1 :] + loop.word[: gap + 1]  # the word from its gap on
 
 
+@lru_cache(maxsize=64)
+def _signed_units(order: int) -> tuple[tuple[tuple[int, SeriesCoeff], ...], ...]:
+    """The (eps, series) pairs of eps and of eps/2 for eps = +1, -1, at the
+    order: the bracket's coefficients, built once per order and process,
+    as immutable values that every sum may share."""
+    one, half = SeriesCoeff.one(order), SeriesCoeff.constant(Fraction(1, 2), order)
+    return ((1, one), (-1, -one)), ((1, half), (-1, -half))
+
+
 def bracket_gln(d: Diagram, x: Loop, y: Loop, order: int = DEFAULT_ORDER) -> FormalSum:
     """GL(n)/U(n) bracket: sum_i eps_i W_{x *_i y} (integer h^0 coefficients)."""
     d.require_valid()
     out = FormalSum.zero(order)
     crossings = d.crossings_between(x, y)
     if crossings:
-        one = SeriesCoeff.one(order)
-        signed = {1: one, -1: -one}
+        signed = dict(_signed_units(order)[0])
     for _, eps, gx, gy in crossings:
         joined = canonical(_rotated(x, gx) + _rotated(y, gy), "oriented")
         out.add_term(monomial([joined]), signed[eps])
@@ -65,9 +74,7 @@ def bracket_sl2(
     conv = "unoriented"
     crossings = d.crossings_between(x, y)
     if crossings:
-        one, half = SeriesCoeff.one(order), SeriesCoeff.constant(Fraction(1, 2), order)
-        signed = {1: one, -1: -one}
-        halves = {1: half, -1: -half}
+        signed, halves = map(dict, _signed_units(order))
         if form == "alt":
             prod = monomial([canonical(x.word, conv), canonical(y.word, conv)])
     for _, eps, gx, gy in crossings:
@@ -108,9 +115,11 @@ def bracket_poly(
     """Bilinear extension with the Leibniz rule over the loops of each
     monomial.  Loop pairs sharing arcs are rejected as non-transversal.
     The factors' coefficients are truncated to order.  Each distinct loop
-    pair is bracketed once per call, each loop left beside the pair is
-    canonicalized once per call, and the factors' coefficient product is
-    formed once per pair of terms."""
+    pair is bracketed once per call, and each loop left beside the pair is
+    canonicalized once per call.  The product of two terms' coefficients
+    and each product that scales a Leibniz term come from one memo of
+    exact products, so each distinct pair of coefficient values is
+    multiplied once per call."""
     if order is None:
         order = f.order
     _require_form(form)
@@ -120,6 +129,7 @@ def bracket_poly(
     out = FormalSum.zero(order)
     bases: dict[tuple[Loop, Loop], FormalSum] = {}
     canon: dict[Loop, Loop] = {}
+    products: dict[SeriesCoeff, dict[SeriesCoeff, SeriesCoeff]] = {}
     for m, cm in f.terms.items():
         for mp, cmp_ in g.terms.items():
             c = None
@@ -139,6 +149,9 @@ def bracket_poly(
                             cl = canon[l] = canonical(l.word, conv)
                         extra.append(cl)
                     if c is None:
-                        c = cm * cmp_
-                    out.add_scaled(base.mul_monomial(monomial(extra)), c)
+                        row = products.setdefault(cm, {})
+                        c = row.get(cmp_)
+                        if c is None:
+                            c = row[cmp_] = cm * cmp_
+                    out._add_scaled(base.mul_monomial(monomial(extra)), c, products)
     return out

@@ -220,12 +220,21 @@ def eval_monomial(m: Monomial, assign: HolonomyAssignment) -> complex:
 def eval_formal(fs: FormalSum, assign: HolonomyAssignment, beta: float) -> complex:
     """Evaluate a formal sum: truncated-series coefficients at h = 2*beta
     times the Wilson values of the monomials.  A non-finite beta, or a value
-    that overflows a float, raises HolonomyError."""
-    check_coupling(beta, error=HolonomyError)
-    h = 2.0 * beta
-    value = eval_complex_sum({m: c.eval_h(h) for m, c in fs.terms.items()}, assign)
+    that overflows a float, a coefficient's included, raises HolonomyError."""
+    value = eval_complex_sum(series_values(fs, beta), assign)
     check_coupling(beta, (value,), error=HolonomyError)
     return value
+
+
+def series_values(fs: FormalSum, beta: float) -> dict[Monomial, complex]:
+    """The sum's coefficients as numbers at h = 2*beta.  A non-finite beta,
+    or a coefficient that no float can hold, raises HolonomyError."""
+    check_coupling(beta, error=HolonomyError)
+    h = 2.0 * beta
+    try:
+        return {m: c.eval_h(h) for m, c in fs.terms.items()}
+    except OverflowError:  # an int slot past the float range: an inf value, refused
+        check_coupling(beta, (math.inf,), error=HolonomyError)
 
 
 def eval_complex_sum(terms: dict[Monomial, complex], assign: HolonomyAssignment) -> complex:

@@ -253,10 +253,13 @@ def _stacked_sum(
     d: Diagram, factors: Sequence[FormalSum], levels: Sequence[int], group: GroupSpec, order: int
 ) -> FormalSum:
     """Sum over the stackings of the factors at the given levels of the
-    chosen coefficients times the expectation of the stacked loops."""
+    chosen coefficients times the expectation of the stacked loops.  The
+    stackings share one memo of exact products, so each distinct product of
+    a chosen coefficient and a state coefficient is formed once per call."""
     out = FormalSum.zero(order)
+    products: dict[SeriesCoeff, dict[SeriesCoeff, SeriesCoeff]] = {}
     for leveled, c in _stackings([f.terms for f in factors], levels):
-        out.add_scaled(expect_loops(d, leveled, group, order), c)
+        out._add_scaled(expect_loops(d, leveled, group, order), c, products)
     return out
 
 
@@ -463,10 +466,11 @@ def assoc_check(
     of the two encodings must vanish identically.  The nested star products
     themselves are compared as formal sums too, and, when an assignment is
     given, evaluated numerically through the closed-form coefficient path
-    at beta = 0.01, 0.1 and 0.5.
+    at beta = 0.01, 0.1 and 0.5; a coefficient that overflows a float there
+    raises HolonomyError, as eval_formal does.
     """
     # local import: holonomy loads numpy, which the exact path never needs
-    from .holonomy import eval_complex_sum
+    from .holonomy import eval_complex_sum, series_values
 
     if order is None:
         order = u.order
@@ -480,11 +484,8 @@ def assoc_check(
 
     numeric: dict[float, float] = {}
     if assign is not None:
-        def as_complex(fs: FormalSum, beta: float) -> dict[Monomial, complex]:
-            return {m: c.eval_h(2.0 * beta) for m, c in fs.terms.items()}
-
         for beta in (0.01, 0.1, 0.5):
-            fu, fv, fw = as_complex(u, beta), as_complex(v, beta), as_complex(w, beta)
+            fu, fv, fw = (series_values(x, beta) for x in (u, v, w))
             left = star_complex(d, star_complex(d, fu, fv, group, beta), fw, group, beta)
             right = star_complex(d, fu, star_complex(d, fv, fw, group, beta), group, beta)
             numeric[beta] = abs(

@@ -5,8 +5,10 @@ generator matrices are recovered by ODE matching with finite differences of
 the closed forms, never read back from the implementation.
 """
 
+import copy
 import hashlib
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -540,3 +542,18 @@ def test_coefficient_domain_errors(make, message):
 def test_series_repr_lists_the_nonzero_slots_and_the_order():
     assert repr(SeriesCoeff([1, Fraction(-1, 2), 0, 3])) == "SeriesCoeff(1*h^0 + -1/2*h^1 + 3*h^3; K=3)"
     assert repr(SeriesCoeff.zero(2)) == "SeriesCoeff(0; K=2)"
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_a_series_copies_and_pickles_as_its_value(how):
+    """A copy is rebuilt from num and den: an equal, immutable value with
+    the same hash, and a hashed series pickles as a fresh one does."""
+    c = SeriesCoeff([3, Fraction(-1, 6), 0, 10**30], order=4)
+    fresh = pickle.dumps(SeriesCoeff(c.coeffs))
+    h = hash(c)
+    out = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda x: pickle.loads(pickle.dumps(x))}[how](c)
+    assert type(out) is SeriesCoeff and out == c and (out.num, out.den) == (c.num, c.den)
+    assert hash(out) == h
+    assert pickle.dumps(c) == fresh
+    with pytest.raises(AttributeError, match="immutable"):
+        out.den = 2

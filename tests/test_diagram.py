@@ -1,5 +1,6 @@
 """Diagram model: validation, canonical forms, concatenation, text format."""
 
+import copy
 import json
 import os
 import pathlib
@@ -481,6 +482,89 @@ def test_add_scaled_by_one_into_a_sum_with_terms_adds_each_term():
     assert list(out.terms.items()) == [(c, SeriesCoeff.constant(5, 4))]
     with pytest.raises(CoeffError):
         out.add_scaled(FormalSum.of(c, 8), SeriesCoeff.one(4))
+
+
+def test_a_new_zero_term_is_not_inserted():
+    d = parse_diagram(ONE_CROSSING)
+    c, dd = monomial([d.loop_of("C")]), monomial([d.loop_of("D")])
+    fs = FormalSum({c: 1}, 4)
+    for zero in (0, Fraction(0), SeriesCoeff.zero(4)):
+        fs.add_term(dd, zero)
+        assert list(fs.terms) == [c]
+    assert list((fs + FormalSum({dd: 0}, 4)).terms) == [c]
+
+
+def test_a_term_of_another_order_leaves_the_terms_as_they_were():
+    """Refused whether its monomial is new or already there; the terms and
+    their order stay."""
+    d = parse_diagram(ONE_CROSSING)
+    c, dd = monomial([d.loop_of("C")]), monomial([d.loop_of("D")])
+    e = monomial([d.loop_of("C"), d.loop_of("D")])
+    fs = FormalSum({c: 2, dd: -1}, 4)
+    before = list(fs.terms.items())
+    for m in (e, c, dd):
+        with pytest.raises(CoeffError):
+            fs.add_term(m, SeriesCoeff.one(8))
+        assert list(fs.terms.items()) == before
+    with pytest.raises(CoeffError):
+        fs.add_scaled(FormalSum({e: 1, c: 1}, 8), SeriesCoeff.one(8))
+    assert list(fs.terms.items()) == before
+
+
+def test_a_term_that_cancels_is_dropped_and_comes_back_last():
+    d = parse_diagram(ONE_CROSSING)
+    c, dd = monomial([d.loop_of("C")]), monomial([d.loop_of("D")])
+    fs = FormalSum({c: 2, dd: -1}, 4)
+    fs.add_term(c, -2)
+    assert list(fs.terms) == [dd]
+    fs.add_term(c, Fraction(1, 3))
+    assert list(fs.terms.items()) == [(dd, SeriesCoeff.constant(-1, 4)), (c, SeriesCoeff.constant(Fraction(1, 3), 4))]
+    s = FormalSum({c: 1, dd: 1}, 4) - FormalSum({c: 1}, 4) + FormalSum({c: 5}, 4)
+    assert list(s.terms) == [dd, c]
+    out = FormalSum({c: 1, dd: 1}, 4)
+    out.add_scaled(FormalSum({c: 1}, 4), -1)
+    out.add_scaled(FormalSum({c: 1}, 4), 1)
+    assert list(out.terms) == [dd, c]
+    assert list(FormalSum({(c[0], dd[0]): 1, (dd[0], c[0]): -1}, 4).mul_monomial(c).terms) == []
+
+
+@pytest.mark.parametrize("other", [1, 0, Fraction(1, 2), 1.0, None, SeriesCoeff.one(4)], ids=repr)
+def test_a_sum_adds_and_subtracts_only_a_sum(other):
+    d = parse_diagram(ONE_CROSSING)
+    fs = FormalSum.of(monomial([d.loop_of("C")]), 4)
+    for op in (lambda: fs + other, lambda: fs - other, lambda: other + fs, lambda: other - fs):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_add_scaled_reads_an_int_or_fraction_as_add_term_does():
+    d = parse_diagram(ONE_CROSSING)
+    c, dd = monomial([d.loop_of("C")]), monomial([d.loop_of("D")])
+    other = FormalSum({c: 3, dd: SeriesCoeff([1, 2], order=4)}, 4)
+    for k in (2, Fraction(-2, 3), 0, 1):
+        want, want_scaled = FormalSum({dd: 1}, 4), FormalSum(order=4)
+        for m, v in other.terms.items():
+            want.add_term(m, SeriesCoeff.constant(k, 4) * v)
+            want_scaled.add_term(m, SeriesCoeff.constant(k, 4) * v)
+        for factor in (k, SeriesCoeff.constant(k, 4)):
+            out = FormalSum({dd: 1}, 4)
+            out.add_scaled(other, factor)
+            assert list(out.terms.items()) == list(want.terms.items())
+            assert list(other.scale(factor).terms.items()) == list(want_scaled.terms.items())
+    for bad in (2.0, True, "2"):
+        with pytest.raises(CoeffError, match="expected exact rational"):
+            FormalSum.zero(4).add_scaled(other, bad)
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_a_sum_copies_and_pickles_with_its_terms_in_order(how):
+    d = parse_diagram(ONE_CROSSING)
+    c, dd = monomial([d.loop_of("C")]), monomial([d.loop_of("D")])
+    fs = FormalSum({dd: SeriesCoeff([1, Fraction(1, 2)], order=3), c: -7}, 3)
+    hash(frozenset(fs.terms.items()))  # every key and coefficient hashed
+    out = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda x: pickle.loads(pickle.dumps(x))}[how](fs)
+    assert out == fs and out.order == 3 and list(out.terms.items()) == list(fs.terms.items())
+    assert formal_sum_to_json(out) == formal_sum_to_json(fs)
 
 
 def test_mul_monomial_adds_the_terms_it_makes_one():

@@ -173,6 +173,17 @@ def test_eval_formal_refuses_a_float_overflow(beta):
         eval_formal(uv, assign, beta)
 
 
+@pytest.mark.parametrize("num", [10**400, -(10**400)], ids=["huge", "minus-huge"])
+def test_eval_formal_refuses_a_coefficient_no_float_holds(num):
+    """A slot of 10**400 has no float value at any beta: the same domain
+    error as an overflow, not a bare OverflowError from the int division."""
+    _, assign, (uv, *_) = batch_sums(GroupSpec("su2"), 0)
+    fs = uv.truncated(2)
+    fs.add_term(next(iter(fs.terms)), SeriesCoeff([num], order=2))
+    with pytest.raises(HolonomyError, match=r"^the value at beta=0\.05 overflows a float$"):
+        eval_formal(fs, assign, 0.05)
+
+
 def test_projection_pi():
     rng = np.random.default_rng(11)
     gl3 = GroupSpec("gln", 3)

@@ -1,16 +1,19 @@
 """Work done once per call: eval_formal and eval_complex_sum evaluate
-their loops as one stacked product with one row per distinct loop,
-bracket_poly brackets each distinct loop pair once, and a state sum
-canonicalizes each distinct cell cycle once.  Nothing computed for one call
-is reused by another, except a Diagram's two entry tables, both built with
-the diagram: the end of each (arc, direction) entry and the entry ranks.
+their loops as one stacked product with one row per distinct loop;
+bracket_poly brackets each distinct loop pair once; a state sum
+canonicalizes each distinct cell cycle once; star and bracket_poly form
+each distinct product of two exact series once.  Nothing computed for one
+call is reused by another, except the constants of each truncation order
+(the state tables and the bracket's +-1 and +-1/2 series) and a Diagram's
+two entry tables, both built with the diagram: the end of each (arc,
+direction) entry and the entry ranks.
 They hold only what the diagram fixes, so every call leaves them as a
 freshly parsed diagram has them.
 
 The counters replace the module attributes that loopstar calls through at
 run time (holonomy._wilson_values, goldman.bracket_loops, the Loop class
-that star builds its cycles' loops with, Stacked.cycles), the way the
-benchmark's tracer rebinds them.
+that star builds its cycles' loops with, Stacked.cycles, SeriesCoeff's
+__mul__ and one), the way the benchmark's tracer rebinds them.
 """
 
 import importlib
@@ -22,7 +25,7 @@ import pytest
 
 from loopstar import goldman, holonomy
 from loopstar.checks import random_diagram
-from loopstar.coeff import GroupSpec
+from loopstar.coeff import GroupSpec, SeriesCoeff
 from loopstar.diagram import FormalSum, canonical, monomial, parse_diagram
 from loopstar.holonomy import eval_complex_sum, eval_formal, eval_monomial, random_assignment
 from loopstar.star import Stacked, expect_loops, star, star_complex
@@ -119,6 +122,78 @@ def test_bracket_poly_brackets_each_distinct_loop_pair_once_per_call(group, form
         calls.clear()
         goldman.bracket_poly(d, uvw, x, group, form)
         assert Counter((args[1], args[2]) for args in calls) == Counter(set(pairs))
+
+
+def recording_sizes(monkeypatch, owner, name) -> list[int]:
+    """Replace owner.name by a wrapper that records the length of each
+    result."""
+    sizes = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return sizes
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+def test_star_forms_each_distinct_product_once_per_call(group, monkeypatch):
+    """star(u*v*w, x): besides the product of the chosen coefficients that
+    each stacking forms, each distinct pair of values is multiplied once
+    per call, fewer times than there are stacked terms to scale, and as
+    often in a second call."""
+    d, factors, uvw = products(group)
+    x = factors[3]
+    star(d, uvw, x, group, ORDER)  # the state tables are kept per process
+    calls = counting(monkeypatch, SeriesCoeff, "__mul__")
+    scaled = recording_sizes(monkeypatch, star_module, "expect_loops")
+    stackings = Counter((c, cx) for c in uvw.terms.values() for cx in x.terms.values())
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        scaled.clear()
+        star(d, uvw, x, group, ORDER)
+        rest = Counter(calls) - stackings
+        assert set(rest.values()) == {1}
+        assert sum(rest.values()) < sum(scaled)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+@pytest.mark.parametrize("form", ("alt", "reversal"))
+def test_bracket_poly_forms_each_distinct_product_once_per_call(group, form, monkeypatch):
+    """The product of each pair of terms' coefficients and each product
+    that scales a Leibniz term: each distinct pair of values once per call,
+    fewer times than there are pairs and terms, and as often in a second
+    call."""
+    d, factors, uvw = products(group)
+    x = factors[3]
+    calls = counting(monkeypatch, SeriesCoeff, "__mul__")
+    scaled = recording_sizes(monkeypatch, FormalSum, "mul_monomial")
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        scaled.clear()
+        goldman.bracket_poly(d, uvw, x, group, form)
+        assert set(Counter(calls).values()) == {1}
+        assert len(calls) < len(uvw) * len(x) + sum(scaled)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+def test_the_bracket_builds_its_constants_once_per_order(group, monkeypatch):
+    d, factors, uvw = products(group)
+    x = factors[3]
+    goldman._signed_units.cache_clear()
+    calls = counting(monkeypatch, SeriesCoeff, "one")
+    out = [goldman.bracket_poly(d, uvw, x, group, order=k) for k in (ORDER, ORDER - 1, ORDER, ORDER - 1)]
+    assert sorted(calls) == [(ORDER - 1,), (ORDER,)]
+    assert out[0] == out[2] and out[1] == out[3] and not out[0].is_zero()
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=str)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from loopstar.checks import random_diagram, random_factors
-from loopstar.coeff import GROUP_KINDS, GroupSpec
+from loopstar.coeff import GROUP_KINDS, GroupSpec, SeriesCoeff
 from loopstar.diagram import FormalSum, Loop, canonical, monomial, reverse_word
 from loopstar.goldman import bracket_poly
 from loopstar.holonomy import eval_formal, random_assignment
@@ -94,6 +94,16 @@ def factor_cases(seed: int):
     yield d, tuple(FormalSum.of(monomial([d.loop_of(c)]), ORDER) for c in d.curves)
 
 
+def shared_value_factors(seed: int):
+    """(diagram, f, g): on a 4-curve diagram, f = c*u + c*v and
+    g = c*w - c*x for one series c, so the factors' terms share their
+    coefficient values, and so do the products of the chosen pairs."""
+    d = random_diagram(np.random.default_rng(seed), n_curves=4)
+    u, v, w, x = (monomial([d.loop_of(name)]) for name in d.curves)
+    c = SeriesCoeff([2, Fraction(1, 3), 0, Fraction(-5, 7)], order=ORDER)
+    return d, FormalSum({u: c, v: c}, ORDER), FormalSum({w: c, x: -c}, ORDER)
+
+
 def assert_same(d, group, out: FormalSum, ref: FormalSum) -> None:
     assert list(out.terms.items()) == list(ref.terms.items())
     assign = random_assignment(d, group, np.random.default_rng(0))
@@ -119,3 +129,30 @@ def test_products_and_brackets_match_the_reference(group, seed):
             for a, b in ((f, g), (g, f)):
                 assert_same(d, group, bracket_poly(d, a, b, group, form),
                             reference_bracket_poly(d, a, b, group, form, ORDER))
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+@pytest.mark.parametrize("seed", range(4))
+def test_factors_with_shared_values_hit_the_product_memo(group, seed, monkeypatch):
+    """star(f, g) and bracket_poly in both orders and both forms, whose
+    factors repeat one coefficient value: the same terms in the same order
+    as the reference, with fewer series products than the reference forms."""
+    d, f, g = shared_value_factors(seed)
+    cases = [(lambda: star(d, f, g, group, ORDER), lambda: reference_star(d, f, g, group, ORDER))]
+    for form in FORMS:
+        for a, b in ((f, g), (g, f)):
+            cases.append((lambda a=a, b=b, form=form: bracket_poly(d, a, b, group, form),
+                          lambda a=a, b=b, form=form: reference_bracket_poly(d, a, b, group, form, ORDER)))
+    for run, ref in cases:
+        run(), ref()  # the state tables and bracket constants are kept per process
+    calls = []
+    mul = SeriesCoeff.__mul__
+    monkeypatch.setattr(SeriesCoeff, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
+    for run, ref in cases:
+        outs, formed = [], []
+        for fn in (run, ref):
+            calls.clear()
+            outs.append(fn())
+            formed.append(len(calls))
+        assert formed[0] < formed[1]
+        assert_same(d, group, *outs)

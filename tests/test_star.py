@@ -1,5 +1,6 @@
 """Star product and expectation functional tests."""
 
+import pathlib
 import re
 
 import numpy as np
@@ -34,6 +35,7 @@ from loopstar.diagram import (
 )
 from loopstar.goldman import bracket_gln, bracket_loops, bracket_poly, bracket_sl2
 from loopstar.holonomy import (
+    HolonomyError,
     eval_complex_sum,
     eval_formal,
     eval_monomial,
@@ -598,8 +600,6 @@ def test_poisson_limit_random_corpus(family):
 
 
 def test_assoc_triple_symbolic_and_numeric():
-    import pathlib
-
     path = pathlib.Path(__file__).resolve().parent.parent / "diagrams" / "assoc_triple.ls"
     d = parse_diagram(path.read_text())
     for grp in (GroupSpec("su2"), GroupSpec("gln", 2)):
@@ -625,6 +625,21 @@ def test_assoc_with_unit_reduces_to_star():
     assert star(d, u, star(d, v, one, su2), su2) == s
     res = assoc_check(d, u, v, one, su2)
     assert res.level_residual.is_zero() and res.nested_residual.is_zero()
+
+
+def test_assoc_check_refuses_a_coefficient_no_float_holds():
+    """The numeric path evaluates the factors' coefficients as eval_formal
+    does, so a slot of 10**400 is its domain error there too; the exact
+    residuals alone do not need a float."""
+    d = parse_diagram((pathlib.Path(__file__).resolve().parent.parent / "diagrams" / "assoc_triple.ls").read_text())
+    grp = GroupSpec("gln", 2)
+    u, v, w = (as_factor(d, grp, c, order=2) for c in ("U", "V", "W"))
+    u = u.scale(SeriesCoeff([10**400], order=2))
+    res = assoc_check(d, u, v, w, grp)
+    assert res.level_residual.is_zero() and res.nested_residual.is_zero()
+    A = random_assignment(d, grp, np.random.default_rng(81))
+    with pytest.raises(HolonomyError, match=r"^the value at beta=0\.01 overflows a float$"):
+        assoc_check(d, u, v, w, grp, assign=A)
 
 
 def test_assoc_random_triples():
