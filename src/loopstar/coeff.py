@@ -50,15 +50,28 @@ def check_order(order, error=CoeffError) -> None:
 
 def check_coupling(beta, values=(), error=CoeffError) -> None:
     """The one coupling rule: raise error unless beta is a finite real and
-    so is each of the values made from it."""
+    each of the values made from it passes check_values."""
     try:
         finite = math.isfinite(beta)
     except (TypeError, OverflowError):  # not a real, or an int no float can hold
         finite = False
     if not finite:
         raise error(f"the coupling beta must be finite, got {beta!r}")
-    if not all(map(cmath.isfinite, values)):
-        raise error(f"the value at beta={beta!r} overflows a float")
+    check_values(values, error, f"the value at beta={beta!r}")
+
+
+def check_values(values, error=CoeffError, what: str = "a value") -> None:
+    """The one value rule: raise error, naming the values what, unless each
+    is a number (int, float or complex) that a float holds, inf and nan
+    counting as an overflow."""
+    try:
+        finite = all(map(cmath.isfinite, values))
+    except TypeError:  # a str, None, or anything else that is not a number
+        raise error(f"{what} is not a number") from None
+    except OverflowError:  # an int no float can hold
+        finite = False
+    if not finite:
+        raise error(f"{what} overflows a float")
 
 
 def _as_fraction(x) -> Fraction:

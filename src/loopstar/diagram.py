@@ -129,17 +129,15 @@ def least_rotation(keys: list) -> int:
     return min(starts, key=lambda i: keys[i:] + keys[:i])
 
 
-def least_form(keys: list, rkeys: list | None = None) -> tuple[int, bool, list]:
-    """(start, reversed, rotated keys) of the least rotation of keys, or of
-    rkeys, the keys of the reversed word, when that one is smaller."""
+def least_form(keys: list, rkeys: list | None = None) -> tuple[int, bool]:
+    """(start, reversed) of the least rotation of keys, or of rkeys, the
+    keys of the reversed word, when that one is smaller."""
     r = least_rotation(keys)
-    best = keys[r:] + keys[:r]
     if rkeys is not None:
         s = least_rotation(rkeys)
-        rbest = rkeys[s:] + rkeys[:s]
-        if rbest < best:
-            return s, True, rbest
-    return r, False, best
+        if rkeys[s:] + rkeys[:s] < keys[r:] + keys[:r]:
+            return s, True
+    return r, False
 
 
 def is_unoriented(convention: str) -> bool:
@@ -160,7 +158,7 @@ def canonical(word: Iterable[WordEntry], convention: str = "oriented") -> Loop:
         rkeys = [entry_key(e) for e in rw]
     else:
         rw = rkeys = None
-    start, flipped, _ = least_form([entry_key(e) for e in w], rkeys)
+    start, flipped = least_form([entry_key(e) for e in w], rkeys)
     seq = rw if flipped else w
     return Loop(seq[start:] + seq[:start])
 
@@ -190,8 +188,8 @@ class FormalSum:
         self.order = order
         self.terms: dict[Monomial, SeriesCoeff] = {}
         if terms:
-            for m, c in terms.items():
-                self.add_term(m, c)
+            series = zip(terms, map(self._series, terms.values()))
+            self._merge((m, c) for m, c in series if not c.is_zero())
 
     @classmethod
     def zero(cls, order: int = DEFAULT_ORDER) -> "FormalSum":
@@ -201,35 +199,50 @@ class FormalSum:
     def of(cls, m: Monomial, order: int = DEFAULT_ORDER) -> "FormalSum":
         return cls({m: SeriesCoeff.one(order)}, order=order)
 
+    def _check_order(self, order: int) -> None:
+        if order != self.order:
+            raise CoeffError(f"a term or sum of order {order} in a sum of order {self.order}")
+
+    def _series(self, c) -> SeriesCoeff:
+        """c as a series of the sum's order, an int or Fraction as a
+        constant; a series of another order raises CoeffError."""
+        if not isinstance(c, SeriesCoeff):
+            return SeriesCoeff.constant(c, self.order)
+        self._check_order(c.order)
+        return c
+
+    def _merge(self, pairs: Iterable[tuple[Monomial, SeriesCoeff]]) -> None:
+        """The one merge loop: add each (monomial, coefficient) pair, every
+        coefficient a nonzero series of the sum's order.  A new monomial
+        goes in with one dict probe; a sum that cancels drops its monomial,
+        so a later add puts it last."""
+        terms = self.terms
+        for m, c in pairs:
+            n = len(terms)
+            cur = terms.setdefault(m, c)
+            if len(terms) == n:  # m was already there: cur may be c itself
+                tot = cur + c
+                if tot.is_zero():
+                    del terms[m]
+                else:
+                    terms[m] = tot
+
     def add_term(self, m: Monomial, c) -> None:
         """Add c to the coefficient of m, an int or Fraction c as a constant
         series; a series of another order raises CoeffError, as SeriesCoeff
-        addition does, and leaves the terms as they were.  A new m goes in
-        with one dict probe; a zero sum drops m, so a later add puts it
-        last."""
-        if not isinstance(c, SeriesCoeff):
-            c = SeriesCoeff.constant(c, self.order)
-        elif c.order != self.order:
-            raise CoeffError(f"a term of order {c.order} in a sum of order {self.order}")
-        terms = self.terms
-        n = len(terms)
-        cur = terms.setdefault(m, c)
-        if len(terms) != n:  # m is new: c went in as it is
-            if c.is_zero():
-                del terms[m]
-            return
-        tot = cur + c
-        if tot.is_zero():
-            del terms[m]
-        else:
-            terms[m] = tot
+        addition does, and leaves the terms as they were.  A zero c changes
+        nothing."""
+        c = self._series(c)
+        if not c.is_zero():
+            self._merge(((m, c),))
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         if not isinstance(other, FormalSum):
             return NotImplemented
-        out = FormalSum(dict(self.terms), order=self.order)
-        for m, c in other.terms.items():
-            out.add_term(m, c)
+        self._check_order(other.order)
+        out = FormalSum(order=self.order)
+        out.terms.update(self.terms)  # merged already: only other's terms merge
+        out._merge(other.terms.items())
         return out
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
@@ -243,29 +256,33 @@ class FormalSum:
         return out
 
     def add_scaled(self, other: "FormalSum", c) -> None:
-        """self += c * other, in place, an int or Fraction c read as
-        add_term reads it: a plain copy into an empty sum when c is one and
-        the orders agree, else one product per distinct coefficient of
-        other."""
-        if not isinstance(c, SeriesCoeff):
-            c = SeriesCoeff.constant(c, self.order)
-        self._add_scaled(other, c, {})
+        """self += c * other, in place, for a sum other of self's order, an
+        int or Fraction c read as add_term reads it: a plain copy into an
+        empty sum when c is one, else one product per distinct coefficient
+        of other."""
+        self._check_order(other.order)
+        self._add_scaled(other, self._series(c), {})
 
     def _add_scaled(
         self, other: "FormalSum", c: SeriesCoeff, products: dict[SeriesCoeff, dict[SeriesCoeff, SeriesCoeff]]
     ) -> None:
-        """add_scaled, each product c * v looked up in products[c][v] first:
-        a caller that passes one dict to all its merges forms each distinct
-        product once."""
-        if not self.terms and c.is_one() and c.order == self.order == other.order:
+        """add_scaled of a sum and a series of self's order, each product
+        c * v looked up in products[c][v] first: a caller that passes one
+        dict to all its merges forms each distinct product once."""
+        if not self.terms and c.is_one():
             self.terms.update(other.terms)
             return
         row = products.setdefault(c, {})
-        for m, v in other.terms.items():
-            cv = row.get(v)
-            if cv is None:
-                cv = row[v] = c * v
-            self.add_term(m, cv)
+
+        def scaled():
+            for m, v in other.terms.items():
+                cv = row.get(v)
+                if cv is None:
+                    cv = row[v] = c * v
+                if not cv.is_zero():
+                    yield m, cv
+
+        self._merge(scaled())
 
     def truncated(self, order: int) -> "FormalSum":
         """The sum with its coefficients cut to h^order; self when it is
@@ -279,8 +296,7 @@ class FormalSum:
     def mul_monomial(self, extra: Monomial) -> "FormalSum":
         """The sum with every monomial times extra, equal products merged."""
         out = FormalSum(order=self.order)
-        for m, c in self.terms.items():
-            out.add_term(monomial(m + extra), c)
+        out._merge((monomial(m + extra), c) for m, c in self.terms.items())
         return out
 
     def slot(self, k: int) -> dict[Monomial, Fraction]:

@@ -5,7 +5,9 @@ of the concatenations x *_p y, x's word from its gap at p, as
 Diagram.crossings_between reports it, followed by y's; for the rank-2 groups
 it comes with either the reversed-partner correction (reversal form) or the
 product-term correction (alt form), which agree as functions but not as
-formal sums.  Monomials extend by the Leibniz rule.
+formal sums.  bracket_loops holds the one loop over the crossings for every
+group and form; bracket_gln and bracket_sl2 name its two conventions.
+Monomials extend by the Leibniz rule.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .diagram import (
 # which every form names.
 FORMS = ("alt", "reversal")
 
+# the bracket depends on the group only through its convention
+_ORIENTED, _RANK2 = GroupSpec("gln"), GroupSpec("su2")
+
 
 def _require_form(form: str) -> None:
     if form not in FORMS:
@@ -47,61 +52,46 @@ def _signed_units(order: int) -> tuple[tuple[tuple[int, SeriesCoeff], ...], ...]
     return ((1, one), (-1, -one)), ((1, half), (-1, -half))
 
 
-def bracket_gln(d: Diagram, x: Loop, y: Loop, order: int = DEFAULT_ORDER) -> FormalSum:
-    """GL(n)/U(n) bracket: sum_i eps_i W_{x *_i y} (integer h^0 coefficients)."""
-    d.require_valid()
-    out = FormalSum.zero(order)
-    crossings = d.crossings_between(x, y)
-    if crossings:
-        signed = dict(_signed_units(order)[0])
-    for _, eps, gx, gy in crossings:
-        joined = canonical(_rotated(x, gx) + _rotated(y, gy), "oriented")
-        out.add_term(monomial([joined]), signed[eps])
-    return out
+def bracket_loops(d: Diagram, x: Loop, y: Loop, group: GroupSpec, form: str = "alt",
+                  order: int = DEFAULT_ORDER) -> FormalSum:
+    """The bracket of two loops, one term or pair of terms per point where
+    they cross, with sign eps:
 
-
-def bracket_sl2(
-    d: Diagram, x: Loop, y: Loop, form: str = "alt", order: int = DEFAULT_ORDER
-) -> FormalSum:
-    """Rank-2 bracket in either printed form.
-
-    reversal: (1/2) sum_i eps_i (W_{x *_i y} - W_{x *_i y-reversed})
-    alt:      sum_i eps_i (W_{x *_i y} - (1/2) W_x W_y)
+    gl(n)/u(n):      sum_i eps_i W_{x *_i y}  (integer h^0 coefficients)
+    rank-2 reversal: (1/2) sum_i eps_i (W_{x *_i y} - W_{x *_i y-reversed})
+    rank-2 alt:      sum_i eps_i (W_{x *_i y} - (1/2) W_x W_y)
     """
     _require_form(form)
     d.require_valid()
     out = FormalSum.zero(order)
-    conv = "unoriented"
+    rank2, conv = group.orientation_free, group.convention
     crossings = d.crossings_between(x, y)
     if crossings:
         signed, halves = map(dict, _signed_units(order))
-        if form == "alt":
+        if rank2 and form == "alt":
             prod = monomial([canonical(x.word, conv), canonical(y.word, conv)])
     for _, eps, gx, gy in crossings:
         rx, ry = _rotated(x, gx), _rotated(y, gy)
         joined = monomial([canonical(rx + ry, conv)])
-        if form == "reversal":
+        if rank2 and form == "reversal":
             # reverse(y) from its gap at p is the reversal of ry
             out.add_term(joined, halves[eps])
             out.add_term(monomial([canonical(rx + reverse_word(ry), conv)]), halves[-eps])
         else:
             out.add_term(joined, signed[eps])
-            out.add_term(prod, halves[-eps])
+            if rank2:
+                out.add_term(prod, halves[-eps])
     return out
 
 
-def bracket_loops(
-    d: Diagram,
-    x: Loop,
-    y: Loop,
-    group: GroupSpec,
-    form: str = "alt",
-    order: int = DEFAULT_ORDER,
-) -> FormalSum:
-    if group.orientation_free:
-        return bracket_sl2(d, x, y, form, order)
-    _require_form(form)
-    return bracket_gln(d, x, y, order)
+def bracket_gln(d: Diagram, x: Loop, y: Loop, order: int = DEFAULT_ORDER) -> FormalSum:
+    """GL(n)/U(n) bracket, bracket_loops of an oriented group."""
+    return bracket_loops(d, x, y, _ORIENTED, "alt", order)
+
+
+def bracket_sl2(d: Diagram, x: Loop, y: Loop, form: str = "alt", order: int = DEFAULT_ORDER) -> FormalSum:
+    """Rank-2 bracket in either printed form, bracket_loops of a rank-2 group."""
+    return bracket_loops(d, x, y, _RANK2, form, order)
 
 
 def bracket_poly(

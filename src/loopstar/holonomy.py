@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import GroupSpec, HolonomyError, check_coupling
+from .coeff import GroupSpec, HolonomyError, check_coupling, check_values
 from .diagram import Arc, Diagram, FormalSum, Loop, Monomial
 
 
@@ -228,19 +228,23 @@ def eval_formal(fs: FormalSum, assign: HolonomyAssignment, beta: float) -> compl
 
 def series_values(fs: FormalSum, beta: float) -> dict[Monomial, complex]:
     """The sum's coefficients as numbers at h = 2*beta.  A non-finite beta,
-    or a coefficient that no float can hold, raises HolonomyError."""
+    or a coefficient whose value no float holds, raises HolonomyError."""
     check_coupling(beta, error=HolonomyError)
     h = 2.0 * beta
     try:
-        return {m: c.eval_h(h) for m, c in fs.terms.items()}
+        values = {m: c.eval_h(h) for m, c in fs.terms.items()}
     except OverflowError:  # an int slot past the float range: an inf value, refused
         check_coupling(beta, (math.inf,), error=HolonomyError)
+    check_coupling(beta, values.values(), error=HolonomyError)
+    return values
 
 
 def eval_complex_sum(terms: dict[Monomial, complex], assign: HolonomyAssignment) -> complex:
     """Evaluate a monomial sum whose coefficients are already numbers (the
     closed-form path).  The terms are summed left to right from 0, each
-    monomial's value as eval_monomial forms it."""
+    monomial's value as eval_monomial forms it.  A coefficient that is not
+    a number, or is inf or nan, raises HolonomyError."""
+    check_values(terms.values(), HolonomyError, "a coefficient")
     wilson = _wilson_values(list(dict.fromkeys(loop for m in terms for loop in m)), assign)
     out = 0j
     for m, c in terms.items():

@@ -26,8 +26,8 @@ the product.  The closed-form numeric path visits every state.  One exact
 body serves the series and the two-smoothing sums, and both price a state
 from one flat count table, by its numbers of toggled over- and
 under-crossings.  The walk carries each state's index into that table,
-moving it by one crossing's weight per toggle, and the body merges each
-state's term into the sum with one dict probe.
+moving it by one crossing's weight per toggle, and the body hands each
+state's monomial and table entry to FormalSum's one merge loop.
 
 Each state's cycles are walked from their start cells in the order of the
 cells' entry ranks, so every cycle is found from its least-rank cell.  When
@@ -35,7 +35,7 @@ no arc repeats among the cells, that cell is the cycle's least arc, where
 its canonical form starts, and the cycles come in monomial order: a new
 cycle becomes its Loop with no rotation search and a monomial needs no
 sort.  A repeated arc (a loop stacked twice, a word through one arc twice)
-falls back to least_form and a sort.
+falls back to canonical() for each new cycle and monomial() for the state.
 
 The rank-2 two-smoothing resolution walks doubled cells, cell c + n being
 cell c walked backwards.  It starts from every crossing at its compatible
@@ -47,8 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations, product
-from operator import index, itemgetter, mul
+from itertools import accumulate, chain, combinations, product
+from operator import index, mul
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .coeff import (
@@ -57,6 +57,7 @@ from .coeff import (
     GroupSpec,
     SeriesCoeff,
     check_coupling,
+    check_values,
     closed_crossing_values,
     crossing_coeffs,
     kauffman_coeffs,
@@ -68,7 +69,6 @@ from .diagram import (
     Monomial,
     TransversalityError,
     canonical,
-    least_form,
     level_error,
     monomial,
 )
@@ -113,8 +113,7 @@ class Stacked:
             top, bottom = (c0, c1) if l0 > l1 else (c1, c0)
             self.active.append(ActiveCrossing(pid, top, bottom, ctype))
         # entries of the doubled cells, cell c + n being cell c walked
-        # backwards, with the diagram's entry_key ranks: canonical forms
-        # compare ints, not key tuples
+        # backwards, and their entry_key ranks, which compare as the keys do
         self.entries = fwd + [(a, -dr) for a, dr in fwd]
         self.keys = list(map(d.entry_ranks().__getitem__, self.entries))
         # the forward cells by entry rank: a walk that takes its start cells
@@ -124,9 +123,7 @@ class Stacked:
         # least arc, where its canonical form starts (see canonical_monomial)
         self.distinct_arcs = len({a for a, _ in fwd}) == len(fwd)
         # per convention (oriented, unoriented), the Loop of each cell cycle
-        # canonicalized so far, with its rank key when an arc repeats, keyed
-        # by its cell sequence: states share most of their cycles, so one
-        # state sum canonicalizes each distinct cycle once
+        # met so far, by its cell sequence: states share most of their cycles
         self._loops: tuple[dict, dict] = ({}, {})
 
     def cycles(self, succ: list[int]) -> list[list[int]]:
@@ -149,49 +146,35 @@ class Stacked:
     def canonical_monomial(self, cycles: list[list[int]], unoriented: bool) -> Monomial:
         """monomial(canonical(word) for each cycle), from the cycles of one
         walk, each from its least-rank cell and in the order of those cells.
-        The reversed loop walks the cycle backwards through the mirrored
-        cells, c + n mod 2n, which as an index into the 2n doubled cells is
-        c - n.  A cycle's cell sequence fixes its loop, since every cycle
-        starts at the same cell, so each distinct one is canonicalized
-        once.
+        A cycle's cell sequence fixes its loop, so each distinct one is
+        canonicalized once.
 
         When no arc repeats among the cells, a cycle's ranks are distinct,
-        so its least rotation starts at its first cell, its least arc; the
-        reversal starts at that arc too and wins exactly when the arc's
-        entry is reversed, since (a, +1) ranks below (a, -1).  The loops'
-        first entries then rise in walk order, so the walk is the monomial
-        order.  When an arc repeats, each cycle takes least_form's least
-        rotation and the loops are sorted."""
+        so its least rotation starts at its first cell, its least arc.  The
+        reversal, the cycle walked backwards through the mirrored cells
+        c - n, starts at that arc too and wins exactly when the arc's entry
+        is reversed, since (a, +1) ranks below (a, -1).  The loops' first
+        entries then rise in walk order, the monomial order.  When an arc
+        repeats, each new cycle goes to canonical() and the loops to
+        monomial()."""
         memo = self._loops[unoriented]
-        entries, keys = self.entries, self.keys
+        entries, keys, fast = self.entries, self.keys, self.distinct_arcs
         n = len(self.succ)
-        if self.distinct_arcs:
-            out = []
-            for cycle in cycles:
-                cells = tuple(cycle)
-                loop = memo.get(cells)
-                if loop is None:
-                    c, seq = cycle[0], cycle
-                    if unoriented and keys[c - n] < keys[c]:  # c's entry is reversed
-                        seq = [x - n for x in cycle[:1] + cycle[:0:-1]]
-                    loop = memo[cells] = Loop(tuple(map(entries.__getitem__, seq)))
-                out.append(loop)
-            return tuple(out)
         loops = []
         for cycle in cycles:
             cells = tuple(cycle)
-            found = memo.get(cells)
-            if found is None:
-                start, flipped, key = least_form(
-                    list(map(keys.__getitem__, cycle)),
-                    [keys[c - n] for c in reversed(cycle)] if unoriented else None,
-                )
-                seq = [c - n for c in reversed(cycle)] if flipped else cycle
-                word = tuple(map(entries.__getitem__, seq[start:] + seq[:start]))
-                found = memo[cells] = (key, Loop(word))
-            loops.append(found)
-        loops.sort(key=itemgetter(0))
-        return tuple(loop for _, loop in loops)
+            loop = memo.get(cells)
+            if loop is None:
+                if fast:
+                    c, seq = cycle[0], cycle
+                    if unoriented and keys[c - n] < keys[c]:  # c's entry is reversed
+                        seq = [x - n for x in cycle[:1] + cycle[:0:-1]]
+                    loop = Loop(tuple(map(entries.__getitem__, seq)))
+                else:
+                    loop = canonical(map(entries.__getitem__, cycle), "unoriented" if unoriented else "oriented")
+                memo[cells] = loop
+            loops.append(loop)
+        return tuple(loops) if fast else monomial(loops)
 
 
 def _states(
@@ -304,25 +287,16 @@ def _exact_sum(st: Stacked, start, swaps, over, table, walk, unoriented: bool, o
     succ) finds, times the table entry of its toggled over- and
     under-crossings (i, j).  The walk carries the entry's index
     i * (n_under + 1) + j, an over-crossing weighing n_under + 1 and an
-    under-crossing 1.  Each term merges with one dict probe, as add_term
-    would merge it; no entry of the table is zero (the series table refuses
-    one, and a two-smoothing entry a^i b^j has h^0 term +-1), so a new
-    monomial goes in as it is."""
+    under-crossing 1.  The terms go to FormalSum's merge loop as they come;
+    no entry of the table is zero (the series table refuses one, and a
+    two-smoothing entry a^i b^j has h^0 term +-1), as that loop requires."""
     out = FormalSum.zero(order)
-    terms = out.terms
     stride = len(over) - sum(over) + 1
     weights = [stride if o else 1 for o in over]
-    for _, succ, i in _states(start, swaps, cut, weights):
-        m = st.canonical_monomial(walk(st, succ), unoriented)
-        c = table[i]
-        n = len(terms)
-        cur = terms.setdefault(m, c)
-        if len(terms) == n:  # m was already there: cur may be c itself
-            tot = cur + c
-            if tot.is_zero():
-                del terms[m]
-            else:
-                terms[m] = tot
+    out._merge(
+        (st.canonical_monomial(walk(st, succ), unoriented), table[i])
+        for _, succ, i in _states(start, swaps, cut, weights)
+    )
     return out
 
 
@@ -409,8 +383,10 @@ def star_complex(
 ) -> dict[Monomial, complex]:
     """Numeric star product on monomial sums with complex coefficients,
     using the closed-form crossing values.  Supports nesting.  A non-finite
-    beta, or a value that overflows a float, raises StarError."""
+    beta, a factor's coefficient that check_values refuses, or a value that
+    overflows a float raises StarError."""
     check_coupling(beta, error=StarError)
+    check_values(chain(f.values(), g.values()), StarError, "a factor's coefficient")
     d.require_valid()
     out: dict[Monomial, complex] = {}
     for leveled, c in _stackings((f, g), (1, -1)):

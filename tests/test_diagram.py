@@ -556,6 +556,46 @@ def test_add_scaled_reads_an_int_or_fraction_as_add_term_does():
             FormalSum.zero(4).add_scaled(other, bad)
 
 
+def test_sum_arithmetic_checks_the_orders_even_of_an_empty_sum():
+    """+, - and add_scaled refuse operands of two orders whether or not
+    either has terms, as a term of another order is refused."""
+    d = parse_diagram(ONE_CROSSING)
+    c = monomial([d.loop_of("C")])
+    for a, b in ((FormalSum.zero(2), FormalSum.zero(3)), (FormalSum.of(c, 2), FormalSum.zero(3)),
+                 (FormalSum.zero(2), FormalSum.of(c, 3))):
+        with pytest.raises(CoeffError, match=f"order {b.order} in a sum of order {a.order}"):
+            a + b
+        with pytest.raises(CoeffError, match=f"order {b.order} in a sum of order {a.order}"):
+            a - b
+        with pytest.raises(CoeffError, match=f"order {b.order} in a sum of order {a.order}"):
+            a.add_scaled(b, 1)
+    with pytest.raises(CoeffError):
+        FormalSum.zero(4).add_scaled(FormalSum.zero(8), 1)
+    assert FormalSum.zero(4).terms == {}
+
+
+def test_adding_two_sums_copies_the_left_one_without_merging_it_again(monkeypatch):
+    """a + b and a - b start from a's terms as they are and merge only b's:
+    no term goes through add_term, and the results keep add_term's order."""
+    d = parse_diagram(ONE_CROSSING)
+    c, dd = monomial([d.loop_of("C")]), monomial([d.loop_of("D")])
+    e = monomial([d.loop_of("C"), d.loop_of("D")])
+    a, b = FormalSum({c: 2, dd: -1, e: 3}, 4), FormalSum({dd: 1, c: 5}, 4)
+    want_add, want_sub = FormalSum({c: 2, dd: -1, e: 3}, 4), FormalSum({c: 2, dd: -1, e: 3}, 4)
+    for m, v in b.terms.items():
+        want_add.add_term(m, v)
+        want_sub.add_term(m, -v)
+    calls = []
+    add_term = FormalSum.add_term
+    monkeypatch.setattr(FormalSum, "add_term", lambda self, m, v: calls.append(m) or add_term(self, m, v))
+    total, diff = a + b, a - b
+    assert calls == []
+    assert list(total.terms.items()) == list(want_add.terms.items()) == [
+        (c, SeriesCoeff.constant(7, 4)), (e, SeriesCoeff.constant(3, 4))]
+    assert list(diff.terms.items()) == list(want_sub.terms.items())
+    assert list(a.terms) == [c, dd, e]  # a itself is left as it was
+
+
 @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
 def test_a_sum_copies_and_pickles_with_its_terms_in_order(how):
     d = parse_diagram(ONE_CROSSING)

@@ -211,3 +211,38 @@ def test_bracket_sl2_rejects_a_bogus_form_with_a_domain_error():
     d = parse_diagram(ONE)
     with pytest.raises(DiagramError):
         bracket_sl2(d, d.loop_of("C"), d.loop_of("D"), "bogus")
+
+
+def bracket_outcome(call):
+    """A bracket's terms in insertion order, or its error's type and text."""
+    try:
+        return list(call().terms.items())
+    except DiagramError as e:  # TransversalityError is one
+        return f"{type(e).__name__}: {e}"
+
+
+@pytest.mark.parametrize("group, form", [
+    (GroupSpec("gln", 2), None), (GroupSpec("gln", 3), None), (GroupSpec("un", 2), None),
+    *((GroupSpec(kind), form) for kind in ("su2", "sl2r", "sl2c") for form in ("alt", "reversal")),
+], ids=str)
+def test_the_named_brackets_are_bracket_loops(group, form):
+    """On the pinned corpus of test_bracket_pins, bracket_gln is
+    bracket_loops of every oriented group, and bracket_sl2 in each form is
+    bracket_loops of every rank-2 group in that form, term for term and in
+    insertion order, errors included."""
+    from test_bracket_pins import ORDER, loop_cases
+
+    cases = 0
+    for seed in range(8):
+        d, loops = loop_cases(seed)
+        for x in loops:
+            for y in loops:
+                if form is None:
+                    got = bracket_outcome(lambda: bracket_gln(d, x, y, ORDER))
+                    want = bracket_outcome(lambda: bracket_loops(d, x, y, group, "alt", ORDER))
+                else:
+                    got = bracket_outcome(lambda: bracket_sl2(d, x, y, form, ORDER))
+                    want = bracket_outcome(lambda: bracket_loops(d, x, y, group, form, ORDER))
+                assert got == want, (seed, str(x), str(y))
+                cases += isinstance(want, list) and bool(want)
+    assert cases > 100

@@ -184,6 +184,22 @@ def test_eval_formal_refuses_a_coefficient_no_float_holds(num):
         eval_formal(fs, assign, 0.05)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(math.inf, 0.0),
+                                 pytest.param(10**400, id="10**400"), "x", None], ids=repr)
+def test_eval_complex_sum_refuses_a_coefficient_that_is_not_a_finite_number(bad):
+    """A coefficient that is not a number, or that no float holds, is a
+    HolonomyError: never a bare TypeError, and never a value such as
+    (-inf+nanj)."""
+    d = parse_diagram("point a +\ncurve C level 1: a\ncurve D level 0: a\n")
+    assign = random_assignment(d, GroupSpec("su2"), np.random.default_rng(0))
+    x = d.loop_of("C")
+    with pytest.raises(HolonomyError, match="^a coefficient (is not a number|overflows a float)$"):
+        eval_complex_sum({(x,): bad}, assign)
+    with pytest.raises(HolonomyError):
+        eval_complex_sum({(x,): 1.0, (d.loop_of("D"),): bad}, assign)
+    assert eval_complex_sum({(x,): 0.5}, assign) == 0.5 * eval_wilson(x, assign)
+
+
 def test_projection_pi():
     rng = np.random.default_rng(11)
     gl3 = GroupSpec("gln", 3)

@@ -14,6 +14,7 @@ from loopstar.coeff import (
     GroupSpec,
     HolonomyError,
     SeriesCoeff,
+    check_coupling,
     closed_crossing_values,
     crossing_coeffs,
     exp_series,
@@ -841,6 +842,32 @@ def test_closed_form_paths_refuse_a_float_overflow(text, beta, coeff):
     if coeff == 1.0:
         with pytest.raises(StarError, match="overflows"):
             expect_values(d, [(d.loop_of(c), d.curves[c].level) for c in d.curves], su2, beta)
+
+
+@pytest.mark.parametrize("bad", ["x", None, "1.0", [1.0]], ids=repr)
+def test_star_complex_refuses_a_coefficient_that_is_not_a_number(bad):
+    """A factor's coefficient that is not a number is a StarError on entry,
+    in either factor and whether or not the other factor has terms: never a
+    bare TypeError, and never an empty product that hides it."""
+    d = parse_diagram(ONE)
+    su2 = GroupSpec("su2")
+    good = {monomial([d.loop_of("C")]): 1.0 + 0j}
+    wrong = {monomial([d.loop_of("D")]): bad}
+    for f, g in ((good, wrong), (wrong, good), (wrong, {}), ({}, wrong)):
+        with pytest.raises(StarError, match="^a factor's coefficient is not a number$"):
+            star_complex(d, f, g, su2, 0.1)
+
+
+@pytest.mark.parametrize("bad", ["x", None, [1.0]], ids=repr)
+def test_the_value_rule_refuses_a_value_that_is_not_a_number(bad):
+    """check_coupling raises its caller's error for a value that is not a
+    number, as it does for one that overflows a float."""
+    with pytest.raises(CoeffError, match=r"^the value at beta=0\.1 is not a number$"):
+        check_coupling(0.1, ["x" if bad is None else bad])
+    with pytest.raises(StarError, match=r"^the value at beta=0\.1 is not a number$"):
+        check_coupling(0.1, [1.0, bad], error=StarError)
+    with pytest.raises(StarError, match=r"^the value at beta=0\.1 overflows a float$"):
+        check_coupling(0.1, [1.0, 10**400], error=StarError)
 
 
 def coupling_takers():

@@ -8,7 +8,7 @@ So it checks the state walk and its canonical forms independently of the
 walk's start-cell order, its per-call memo and its fast path, which builds
 each loop straight from the walk when no arc repeats among the cells.  The
 stackings hold reversed entries (the reversal branch of the unoriented
-form), repeated loops (the least_form fallback) and pass-less curves.
+form), repeated loops (the canonical() fallback) and pass-less curves.
 """
 
 import importlib
@@ -211,13 +211,13 @@ def crossing_ten_times(seed: int):
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=str)
-def test_least_form_runs_only_when_an_arc_repeats(group, monkeypatch):
+def test_canonical_runs_only_when_an_arc_repeats(group, monkeypatch):
     """On two curves crossing 10 times, the shape of the benchmark's deep
     products, every cycle's loop is built straight from the walk; a loop
-    stacked twice takes the least_form fallback."""
+    stacked twice takes the canonical() fallback."""
     calls = []
-    least_form = star_module.least_form
-    monkeypatch.setattr(star_module, "least_form", lambda *a: calls.append(a) or least_form(*a))
+    canonical_ = star_module.canonical
+    monkeypatch.setattr(star_module, "canonical", lambda *a: calls.append(a) or canonical_(*a))
     d = crossing_ten_times(0)
     x, y = (canonical(d.loop_of(c).word, group.convention) for c in ("C", "D"))
     expect_loops(d, [(x, 1), (y, -1)], group, 8)
