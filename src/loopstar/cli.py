@@ -9,7 +9,8 @@ numpy is imported only by --eval-beta, `check`, and the holonomy names, so
 `star`, `expect`, `bracket` and `coeffs` start without it.
 
 Exit codes: 0 success, 1 domain error (validation, transversality, a float
-overflow under --eval-beta), 2 usage (a non-finite --eval-beta among them).
+overflow under --eval-beta, a diagram file that is not UTF-8), 2 usage (a
+non-finite --eval-beta and a negative --seed among them).
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ def _load_diagram(path: str):
             text = fh.read()
     except OSError as e:
         raise CliError(str(e))
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path} is not UTF-8 text: {e}")
     return parse_diagram(text)
 
 
@@ -70,6 +73,18 @@ def _finite_beta(text: str) -> float:
         beta = text
     check_coupling(beta, error=argparse.ArgumentTypeError)
     return beta
+
+
+def _seed(text: str) -> int:
+    """--seed: an int >= 0, as numpy's generators take it; anything else is
+    a usage error."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an int >= 0, got {text!r}")
+    return seed
 
 
 def _emit_formal_sum(fs: FormalSum, args, group: GroupSpec, d, operation: str):
@@ -180,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=["json", "text"], default="json")
     common.add_argument("--eval-beta", type=_finite_beta, default=None, dest="eval_beta")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("coeffs", parents=[common], help="print crossing coefficient tables")
     p.add_argument("--type", choices=["over", "under", "both"], default="both")

@@ -129,17 +129,6 @@ def least_rotation(keys: list) -> int:
     return min(starts, key=lambda i: keys[i:] + keys[:i])
 
 
-def least_form(keys: list, rkeys: list | None = None) -> tuple[int, bool]:
-    """(start, reversed) of the least rotation of keys, or of rkeys, the
-    keys of the reversed word, when that one is smaller."""
-    r = least_rotation(keys)
-    if rkeys is not None:
-        s = least_rotation(rkeys)
-        if rkeys[s:] + rkeys[:s] < keys[r:] + keys[:r]:
-            return s, True
-    return r, False
-
-
 def is_unoriented(convention: str) -> bool:
     """The one convention rule: "oriented" or "unoriented", else DiagramError."""
     if convention not in ("oriented", "unoriented"):
@@ -148,19 +137,22 @@ def is_unoriented(convention: str) -> bool:
 
 
 def canonical(word: Iterable[WordEntry], convention: str = "oriented") -> Loop:
-    """Minimal rotation of the word; under the unoriented convention also
-    minimal over full reversal."""
+    """The least rotation of the word in entry_key order; under the
+    unoriented convention the least rotation of the word or of its
+    reversal, a tie keeping the word itself."""
     w = tuple(word)
     if not w:
         raise DiagramError("empty loop word")
-    if is_unoriented(convention):
+    unoriented = is_unoriented(convention)
+    keys = [entry_key(e) for e in w]
+    r = least_rotation(keys)
+    if unoriented:
         rw = reverse_word(w)
         rkeys = [entry_key(e) for e in rw]
-    else:
-        rw = rkeys = None
-    start, flipped = least_form([entry_key(e) for e in w], rkeys)
-    seq = rw if flipped else w
-    return Loop(seq[start:] + seq[:start])
+        s = least_rotation(rkeys)
+        if rkeys[s:] + rkeys[:s] < keys[r:] + keys[:r]:
+            return Loop(rw[s:] + rw[:s])
+    return Loop(w[r:] + w[:r])
 
 
 # Monomial: multiset of loops as a sorted tuple.
@@ -341,7 +333,7 @@ class Diagram:
     safe for concurrent use.  Build a new Diagram rather than mutating the
     dicts, or the tables go stale.  They hold only what the diagram fixes,
     all filled here: where every (arc, direction) entry ends and starts,
-    each curve's arcs by its dict key, the sorted point ids, entry ranks."""
+    each curve's arcs by its dict key, the sorted point ids."""
 
     curves: dict[str, Curve] = field(default_factory=dict)
     points: dict[str, CrossingPoint] = field(default_factory=dict)
@@ -371,7 +363,6 @@ class Diagram:
             if not k:  # the free arc meets nothing and arrives where it leaves: itself, no point id
                 self._ends[Arc(key, 0), 1] = self._ends[Arc(key, 0), -1] = (None, Arc(key, 0), Arc(key, 0))
         self._order = sorted(self.points)
-        self._ranks = {e: r for r, e in enumerate(sorted(self._ends, key=entry_key))}
         self._valid = False
 
     def validate(self) -> list[str]:
@@ -416,11 +407,6 @@ class Diagram:
 
     def all_arcs(self) -> list[Arc]:
         return [a for cid in self.curves for a in self.arcs_of(cid)]
-
-    def entry_ranks(self) -> dict[WordEntry, int]:
-        """Rank of every (arc, dir) entry of the diagram in entry_key order,
-        so that ranks compare as the keys do."""
-        return self._ranks
 
     # -- loops --------------------------------------------------------------
 

@@ -81,10 +81,9 @@ def sample_algebra(basis: tuple[np.ndarray, ...], rng: np.random.Generator, scal
 
 @dataclass(frozen=True)
 class LieBasis:
-    """Basis {e_a} with Gram matrix g_ab = tr(e_a e_b) and its inverse."""
+    """Basis {e_a} and the inverse of its Gram matrix g_ab = tr(e_a e_b)."""
 
     basis: tuple[np.ndarray, ...]
-    gram: np.ndarray
     gram_inv: np.ndarray
 
 
@@ -115,7 +114,7 @@ def lie_basis(group: GroupSpec) -> LieBasis:
                 mats.append(_elementary(n, i, j) - _elementary(n, j, i))
                 mats.append(1j * (_elementary(n, i, j) + _elementary(n, j, i)))
     gram = np.array([[np.trace(a @ b) for b in mats] for a in mats])
-    return LieBasis(tuple(mats), gram, np.linalg.inv(gram))
+    return LieBasis(tuple(mats), np.linalg.inv(gram))
 
 
 def projection_pi(group: GroupSpec, u: np.ndarray) -> np.ndarray:

@@ -29,11 +29,11 @@ under-crossings.  The walk carries each state's index into that table,
 moving it by one crossing's weight per toggle, and the body hands each
 state's monomial and table entry to FormalSum's one merge loop.
 
-Each state's cycles are walked from their start cells in the order of the
-cells' entry ranks, so every cycle is found from its least-rank cell.  When
-no arc repeats among the cells, that cell is the cycle's least arc, where
-its canonical form starts, and the cycles come in monomial order: a new
-cycle becomes its Loop with no rotation search and a monomial needs no
+Each state's cycles are walked from their start cells in the entry_key
+order of the cells' entries, so every cycle is found from its least cell.
+When no arc repeats among the cells, that cell is the cycle's least arc,
+where its canonical form starts, and the cycles come in monomial order: a
+new cycle becomes its Loop with no rotation search and a monomial needs no
 sort.  A repeated arc (a loop stacked twice, a word through one arc twice)
 falls back to canonical() for each new cycle and monomial() for the state.
 
@@ -69,6 +69,7 @@ from .diagram import (
     Monomial,
     TransversalityError,
     canonical,
+    entry_key,
     level_error,
     monomial,
 )
@@ -112,13 +113,11 @@ class Stacked:
             ctype = "over" if eps > 0 else "under"
             top, bottom = (c0, c1) if l0 > l1 else (c1, c0)
             self.active.append(ActiveCrossing(pid, top, bottom, ctype))
-        # entries of the doubled cells, cell c + n being cell c walked
-        # backwards, and their entry_key ranks, which compare as the keys do
+        # entries of the doubled cells, cell c + n being cell c walked backwards
         self.entries = fwd + [(a, -dr) for a, dr in fwd]
-        self.keys = list(map(d.entry_ranks().__getitem__, self.entries))
-        # the forward cells by entry rank: a walk that takes its start cells
-        # in this order finds each cycle from its least-rank cell
-        self.starts = sorted(range(len(fwd)), key=self.keys.__getitem__)
+        # the forward cells in entry_key order (stably): a walk that takes
+        # its start cells in this order finds each cycle from its least cell
+        self.starts = sorted(range(len(fwd)), key=lambda c: entry_key(fwd[c]))
         # no arc repeats among the cells: then that cell is the cycle's
         # least arc, where its canonical form starts (see canonical_monomial)
         self.distinct_arcs = len({a for a, _ in fwd}) == len(fwd)
@@ -127,8 +126,8 @@ class Stacked:
         self._loops: tuple[dict, dict] = ({}, {})
 
     def cycles(self, succ: list[int]) -> list[list[int]]:
-        """The loops of a state as lists of cells, each from its least-rank
-        cell, in the order of those cells' ranks."""
+        """The loops of a state as lists of cells, each from its least cell
+        in entry_key order, in the order of those cells."""
         seen = [False] * len(succ)
         out = []
         for start in self.starts:
@@ -145,20 +144,19 @@ class Stacked:
 
     def canonical_monomial(self, cycles: list[list[int]], unoriented: bool) -> Monomial:
         """monomial(canonical(word) for each cycle), from the cycles of one
-        walk, each from its least-rank cell and in the order of those cells.
-        A cycle's cell sequence fixes its loop, so each distinct one is
+        walk, each from its least cell and in the order of those cells.  A
+        cycle's cell sequence fixes its loop, so each distinct one is
         canonicalized once.
 
-        When no arc repeats among the cells, a cycle's ranks are distinct,
-        so its least rotation starts at its first cell, its least arc.  The
-        reversal, the cycle walked backwards through the mirrored cells
-        c - n, starts at that arc too and wins exactly when the arc's entry
-        is reversed, since (a, +1) ranks below (a, -1).  The loops' first
-        entries then rise in walk order, the monomial order.  When an arc
-        repeats, each new cycle goes to canonical() and the loops to
-        monomial()."""
+        When no arc repeats among the cells, a cycle's entry keys are
+        distinct, so its least rotation starts at its first cell, its least
+        arc.  The reversal, the cycle walked backwards through the mirrored
+        cells c - n, starts at that arc too and wins exactly when the arc's
+        entry is reversed.  The loops' first entries then rise in walk
+        order, the monomial order.  When an arc repeats, each new cycle goes
+        to canonical() and the loops to monomial()."""
         memo = self._loops[unoriented]
-        entries, keys, fast = self.entries, self.keys, self.distinct_arcs
+        entries, fast = self.entries, self.distinct_arcs
         n = len(self.succ)
         loops = []
         for cycle in cycles:
@@ -167,7 +165,7 @@ class Stacked:
             if loop is None:
                 if fast:
                     c, seq = cycle[0], cycle
-                    if unoriented and keys[c - n] < keys[c]:  # c's entry is reversed
+                    if unoriented and entries[c][1] < 0:  # c's entry is reversed
                         seq = [x - n for x in cycle[:1] + cycle[:0:-1]]
                     loop = Loop(tuple(map(entries.__getitem__, seq)))
                 else:
@@ -479,8 +477,8 @@ def assoc_check(
 
 def _pairing_circles(st: Stacked, succ: list[int]) -> list[list[int]]:
     """The circles of a two-smoothing state on the doubled cells, each once:
-    walked from its least-rank forward cell, in the order of those cells'
-    ranks, the walk through the mirrored cells being the same circle
+    walked from its least forward cell in entry_key order, in the order of
+    those cells, the walk through the mirrored cells being the same circle
     reversed."""
     n = len(st.succ)
     seen = [False] * n

@@ -4,12 +4,15 @@ import argparse
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from loopstar.cli import build_parser, main
-from loopstar.coeff import DEFAULT_ORDER, GROUP_KINDS
-from loopstar.diagram import formal_sum_from_json
-from loopstar.goldman import FORMS
+from loopstar.coeff import DEFAULT_ORDER, GROUP_KINDS, GroupSpec
+from loopstar.diagram import FormalSum, formal_sum_from_json, monomial, parse_diagram
+from loopstar.goldman import FORMS, bracket_poly
+from loopstar.holonomy import eval_formal, random_assignment
+from loopstar.star import expect_diagram, star
 
 DIAGRAMS = pathlib.Path(__file__).resolve().parent.parent / "diagrams"
 
@@ -95,6 +98,27 @@ def test_text_format(capsys):
     assert "monomial" in out and "W(C.0)" in out
 
 
+@pytest.mark.parametrize("verb", ["star", "expect", "bracket"])
+def test_text_format_value_line(capsys, verb):
+    """Under --format text --eval-beta the last line is the value line, its
+    two numbers the reprs of eval_formal's value of the verb's sum at the
+    same beta and seed."""
+    path = DIAGRAMS / "two_crossing.ls"
+    code, out, _ = run(capsys, verb, "--format", "text", "--order", "3",
+                       "--eval-beta", "0.1", "--seed", "5", str(path))
+    assert code == 0
+    group = GroupSpec("su2")
+    d = parse_diagram(path.read_text())
+    f = FormalSum.of(monomial([d.loop_of("C")]), 3)
+    g = FormalSum.of(monomial([d.loop_of("D")]), 3)
+    fs = {"star": lambda: star(d, f, g, group, 3),
+          "expect": lambda: expect_diagram(d, group, 3),
+          "bracket": lambda: bracket_poly(d, f, g, group, form="alt")}[verb]()
+    value = eval_formal(fs, random_assignment(d, group, np.random.default_rng(5)), 0.1)
+    assert out.endswith("\n")
+    assert out.splitlines()[-1] == f"value at beta=0.1 (seed 5): {value.real!r} + {value.imag!r}i"
+
+
 def test_check_all_passes(capsys):
     code, out, _ = run(capsys, "check", "all", "--seed", "42")
     assert code == 0
@@ -147,6 +171,32 @@ def test_syntax_error_exit_1(tmp_path, capsys):
     bad.write_text("point a %\n")
     code, _, err = run(capsys, "star", str(bad))
     assert code == 1 and "cannot parse" in err
+
+
+def test_a_diagram_file_that_is_not_utf8_is_a_domain_error(tmp_path, capsys):
+    bad = tmp_path / "bad.ls"
+    bad.write_bytes(b"point a \xff\n")
+    for verb in ("star", "expect", "bracket"):
+        code, out, err = run(capsys, verb, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+@pytest.mark.parametrize("verb", [
+    ["check", "series"],
+    ["star", str(DIAGRAMS / "one_crossing.ls")],
+    ["star", "--eval-beta", "0.1", str(DIAGRAMS / "one_crossing.ls")],
+    ["expect", str(DIAGRAMS / "one_crossing.ls")],
+    ["bracket", "--eval-beta", "0.1", str(DIAGRAMS / "one_crossing.ls")],
+], ids=["check", "star", "star-eval", "expect", "bracket-eval"])
+def test_a_seed_that_is_not_an_int_at_least_zero_is_a_usage_error(capsys, verb, seed):
+    """Whether or not the verb reads it: numpy's generators take no negative
+    seed."""
+    with pytest.raises(SystemExit) as exc:
+        main([*verb, f"--seed={seed}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_usage_error_exit_2():

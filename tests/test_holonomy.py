@@ -220,7 +220,8 @@ def test_gram_identity(group):
     rng = np.random.default_rng(13)
     basis = lie_basis(group)
     k = len(basis.basis)
-    assert np.max(np.abs(basis.gram_inv @ basis.gram - np.eye(k))) < 1e-12
+    gram = np.array([[np.trace(a @ b) for b in basis.basis] for a in basis.basis])
+    assert np.max(np.abs(basis.gram_inv @ gram - np.eye(k))) < 1e-12
     for _ in range(50):
         u, v = sample(group, rng), sample(group, rng)
         assert verify_gram_identity(group, u, v, basis) < 1e-10

@@ -1,12 +1,15 @@
 """No orphaned definitions: every top-level function and class of the
-package, and every method of its classes other than the dunders, is used
-somewhere other than its own definition.
+package, every method of its classes other than the dunders, and every
+field of those classes is used somewhere other than its own definition.
 
 The package, the demos and the benchmark are parsed with ast, not imported.
 A use is a name, an attribute, an import alias, a value in a dict such as
 checks.SUITES (itself a name), or the names after the module in a dotted
 string such as bench/tracer.py's "diagram.formal_sum_from_json"; a method
-is used only when it is read as an attribute.  A use inside the definition
+is used only when it is read as an attribute, and so is a field: an
+annotated name of a class body, or an attribute that the class's code
+assigns on self, directly or through object.__setattr__, being read
+anywhere but in the statements that assign it.  A use inside the definition
 it names, such as a recursive call, does not count, and neither does a
 re-export in an __init__.py or a use from the tests: a helper that only its
 tests call is dead code.
@@ -31,6 +34,33 @@ def is_dunder(name: str) -> bool:
 
 def attributes_read(node: ast.AST) -> Counter:
     return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def attributes_loaded(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def is_self(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def field_assignments(cls: ast.ClassDef):
+    """(field, the node that assigns it) for each annotated name of the
+    class body and each attribute that the class's code assigns on self,
+    directly or through object.__setattr__(self, "name", value)."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            yield stmt.target.id, stmt
+    for node in ast.walk(cls):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) and is_self(n.value):
+                        yield n.attr, node
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+              and len(node.args) == 3 and is_self(node.args[0])
+              and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)):
+            yield node.args[1].value, node
 
 
 def used_names(node: ast.AST) -> set[str]:
@@ -85,6 +115,27 @@ def orphaned_methods(folders, package: pathlib.Path) -> tuple[int, list[str]]:
     return len(methods), unread
 
 
+def orphaned_fields(folders, package: pathlib.Path) -> tuple[int, list[str]]:
+    """(number of fields, the unread ones as "file:Class.field"), over the
+    fields of the top-level classes in package and the attribute reads in
+    folders, a read inside a statement that assigns the field not counting.
+    Reads are matched by name, whatever the object."""
+    fields, reads = {}, Counter()
+    for folder in folders:
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            reads += attributes_loaded(tree)
+            if folder != package:
+                continue
+            for cls in tree.body:
+                if isinstance(cls, ast.ClassDef):
+                    for name, node in field_assignments(cls):
+                        fields.setdefault((path.name, cls.name, name), []).append(node)
+    unread = [f"{path}:{cls}.{name}" for (path, cls, name), nodes in fields.items()
+              if reads[name] == sum(attributes_loaded(n)[name] for n in nodes)]
+    return len(fields), unread
+
+
 def test_every_definition_is_used_outside_itself():
     count, unused = orphans(USERS, PACKAGE)
     assert count > 50
@@ -137,3 +188,52 @@ def test_a_method_read_only_by_itself_is_an_orphan(tmp_path):
     )
     (tmp_path / "user.py").write_text("from mod import A\n\nA().used()\n")
     assert orphaned_methods([tmp_path], tmp_path) == (2, ["mod.py:A.again"])
+
+
+def test_every_field_is_read_outside_its_assignments():
+    count, unread = orphaned_fields(USERS, PACKAGE)
+    assert count > 30
+    assert unread == []
+
+
+def test_a_field_only_assigned_is_an_orphan(tmp_path):
+    """An annotated field or an attribute set on self, directly, by an
+    augmented assignment or through object.__setattr__, that nothing reads
+    outside the statements assigning it is unread; one that another module
+    reads as an attribute is read, and a subscript assignment reads the
+    attribute it indexes."""
+    (tmp_path / "mod.py").write_text(
+        "class A:\n"
+        "    kept: int\n"
+        "    lost: int\n"
+        "    def __init__(self):\n"
+        "        self.n = 0\n"
+        "        self.n += self.n\n"
+        "        self.table = {}\n"
+        "        self.table[1] = 2\n"
+        "        self.used, self.dropped = 1, 2\n"
+        "        object.__setattr__(self, 'hidden', 3)\n"
+        "        object.__setattr__(self, 'shown', 4)\n"
+        "    def read(self):\n"
+        "        return self.shown\n"
+    )
+    (tmp_path / "user.py").write_text("from mod import A\n\nA().used + A().kept\n")
+    assert orphaned_fields([tmp_path], tmp_path) == (
+        8, ["mod.py:A.lost", "mod.py:A.n", "mod.py:A.dropped", "mod.py:A.hidden"])
+
+
+def test_a_read_in_the_assigning_statement_is_not_a_use(tmp_path):
+    """A field whose only read is in a statement assigning it, however
+    many such statements there are, is unread.  Reads are matched by name,
+    as for methods: a read of the same name on another object elsewhere
+    counts, and an augmented assignment of it is no read."""
+    (tmp_path / "mod.py").write_text(
+        "class A:\n"
+        "    def __init__(self, other):\n"
+        "        self.count = 0\n"
+        "        self.count = self.count + 1\n"
+        "        self.size = 0\n"
+        "        other.size += 1\n"
+        "        other.count = other.size\n"
+    )
+    assert orphaned_fields([tmp_path], tmp_path) == (2, ["mod.py:A.count"])

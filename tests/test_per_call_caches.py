@@ -5,10 +5,9 @@ canonicalizes each distinct cell cycle once; star and bracket_poly form
 each distinct product of two exact series once.  Nothing computed for one
 call is reused by another, except the constants of each truncation order
 (the state tables and the bracket's +-1 and +-1/2 series) and a Diagram's
-two entry tables, both built with the diagram: the end of each (arc,
-direction) entry and the entry ranks.
-They hold only what the diagram fixes, so every call leaves them as a
-freshly parsed diagram has them.
+tables, built with the diagram, such as the end of each (arc, direction)
+entry.  They hold only what the diagram fixes, so every call leaves them as
+a freshly parsed diagram has them.
 
 The counters replace the module attributes that loopstar calls through at
 run time (holonomy._wilson_values, goldman.bracket_loops, the Loop class
@@ -250,7 +249,7 @@ def diagram_text(d) -> str:
 @pytest.mark.parametrize("group", GROUPS, ids=str)
 def test_calls_leave_the_diagram_as_a_fresh_parse_has_it(group):
     """After star, bracket_poly and eval_formal, every attribute of the
-    diagram, its entry tables included, equals that of a fresh parse of the
+    diagram, its entry table included, equals that of a fresh parse of the
     same text once that one is validated too."""
     text = diagram_text(random_diagram(np.random.default_rng(0), n_curves=4))
     d = parse_diagram(text)
@@ -265,4 +264,3 @@ def test_calls_leave_the_diagram_as_a_fresh_parse_has_it(group):
     fresh = parse_diagram(text)
     fresh.require_valid()
     assert vars(d) == vars(fresh)
-    assert list(d.entry_ranks().items()) == list(fresh.entry_ranks().items())

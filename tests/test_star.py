@@ -423,6 +423,15 @@ def test_a_bool_direction_or_index_keeps_its_answer():
             assert star_loops(d, x, y, group, 2) == star_loops(d, Loop(word), y, group, 2)
             assert bracket_loops(d, x, y, group) == bracket_loops(d, Loop(word), y, group)
             assert expect_loops(d, [(x, 1), (y, -1)], group, 2) == expect_loops(d, [(Loop(word), 1), (y, -1)], group, 2)
+    # C walked backwards: a state sum reads the start cell's direction to
+    # flip its cycles under su2, and -1.0 reads as -1 there too
+    y = d.loop_of("D")
+    back = reverse_word(d.loop_of("C").word)
+    x, plain = Loop(tuple((a, -1.0) for a, _ in back)), Loop(back)
+    for group in (gl2, su2):
+        for call in (lambda w: star_loops(d, w, y, group, 2), lambda w: bracket_loops(d, w, y, group),
+                     lambda w: expect_loops(d, [(w, 1), (y, -1)], group, 2)):
+            assert list(call(x).terms.items()) == list(call(plain).terms.items())
 
 
 def test_an_entry_that_cannot_be_hashed_keeps_its_answer():
