@@ -141,29 +141,18 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
-def _cmd_bracket(args) -> int:
+def _cmd_sum(args) -> int:
+    """bracket, star and expect: load the diagram, compute the verb's sum,
+    emit it.  bracket and star take the two level groups as factors."""
     group = GroupSpec(args.group, args.n)
     d = _load_diagram(args.file)
-    f, g = _split_factors(d, args.order)
-    out = bracket_poly(d, f, g, group, form=args.form)
-    _emit_formal_sum(out, args, group, d, "bracket")
-    return 0
-
-
-def _cmd_star(args) -> int:
-    group = GroupSpec(args.group, args.n)
-    d = _load_diagram(args.file)
-    f, g = _split_factors(d, args.order)
-    out = star(d, f, g, group, args.order)
-    _emit_formal_sum(out, args, group, d, "star")
-    return 0
-
-
-def _cmd_expect(args) -> int:
-    group = GroupSpec(args.group, args.n)
-    d = _load_diagram(args.file)
-    out = expect_diagram(d, group, args.order)
-    _emit_formal_sum(out, args, group, d, "expect")
+    if args.verb == "expect":
+        out = expect_diagram(d, group, args.order)
+    elif args.verb == "star":
+        out = star(d, *_split_factors(d, args.order), group, args.order)
+    else:
+        out = bracket_poly(d, *_split_factors(d, args.order), group, form=args.form)
+    _emit_formal_sum(out, args, group, d, args.verb)
     return 0
 
 
@@ -204,15 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bracket", parents=[common, seeded], help="Poisson bracket of the two level groups")
     p.add_argument("--form", choices=FORMS, default="alt")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_bracket)
+    p.set_defaults(fn=_cmd_sum)
 
     p = sub.add_parser("star", parents=[common, seeded], help="star product of the two level groups")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_star)
+    p.set_defaults(fn=_cmd_sum)
 
     p = sub.add_parser("expect", parents=[common, seeded], help="stacked expectation of all curves")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_expect)
+    p.set_defaults(fn=_cmd_sum)
 
     p = sub.add_parser("check", parents=[seeded], help="run property suites")
     p.add_argument("suite", nargs="?", default="all")

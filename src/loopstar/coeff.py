@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 DEFAULT_ORDER = 8
+# the largest truncation order: a series allocates order + 1 coefficients,
+# and the gln(3) tables take about half a second at this order
+MAX_ORDER = 256
 
 GROUP_KINDS = ("su2", "sl2r", "sl2c", "gln", "un")
 
@@ -43,9 +46,9 @@ class HolonomyError(ValueError):
 
 def check_order(order, error=CoeffError) -> None:
     """The one truncation-order rule: raise error unless order is an int
-    (not a bool) >= 0."""
-    if type(order) is not int or order < 0:
-        raise error(f"order must be an int >= 0, got {order!r}")
+    (not a bool) from 0 to MAX_ORDER."""
+    if type(order) is not int or not 0 <= order <= MAX_ORDER:
+        raise error(f"order must be an int >= 0 and <= {MAX_ORDER}, got {order!r}")
 
 
 def check_coupling(beta, values=(), error=CoeffError) -> None:

@@ -163,6 +163,18 @@ def monomial(loops: Iterable[Loop]) -> Monomial:
     return tuple(sorted(loops, key=lambda l: l.key()))
 
 
+def _canonical_key(m) -> Monomial:
+    """m, when it is a key that monomial() of canonical loops gives: a tuple
+    of Loops in monomial order, each its own least rotation in entry_key
+    order; anything else raises DiagramError.  Merging a loop with its
+    reversal is the group's business, so either orientation passes, and an
+    empty word is left to the closed-walk rule of the sums that read it."""
+    keys = [l.key() for l in m] if isinstance(m, tuple) and all(isinstance(l, Loop) for l in m) else None
+    if keys is None or keys != sorted(keys) or any(k and least_rotation(list(k)) for k in keys):
+        raise DiagramError(f"a sum's key must be a canonical monomial, got {m!r}")
+    return m
+
+
 def monomial_text(m: Monomial) -> str:
     """"W(C.0) * W(D.1~)", or "1" for the empty monomial."""
     return " * ".join(f"W({l})" for l in m) if m else "1"
@@ -170,8 +182,10 @@ def monomial_text(m: Monomial) -> str:
 
 class FormalSum:
     """Finite map Monomial -> SeriesCoeff of one truncation order, an int
-    >= 0; zero-coefficient entries pruned.  Two sums are equal when their
-    orders and their terms are."""
+    from 0 to MAX_ORDER; zero-coefficient entries pruned.  Two sums are
+    equal when their orders and their terms are.  The constructor and
+    add_term take only canonical keys (_canonical_key); the private merges
+    take keys that are canonical by construction."""
 
     __slots__ = ("terms", "order")
 
@@ -180,7 +194,7 @@ class FormalSum:
         self.order = order
         self.terms: dict[Monomial, SeriesCoeff] = {}
         if terms:
-            series = zip(terms, map(self._series, terms.values()))
+            series = zip(map(_canonical_key, terms), map(self._series, terms.values()))
             self._merge((m, c) for m, c in series if not c.is_zero())
 
     @classmethod
@@ -222,9 +236,9 @@ class FormalSum:
     def add_term(self, m: Monomial, c) -> None:
         """Add c to the coefficient of m, an int or Fraction c as a constant
         series; a series of another order raises CoeffError, as SeriesCoeff
-        addition does, and leaves the terms as they were.  A zero c changes
-        nothing."""
-        c = self._series(c)
+        addition does, and a key that is not canonical raises DiagramError,
+        both leaving the terms as they were.  A zero c changes nothing."""
+        m, c = _canonical_key(m), self._series(c)
         if not c.is_zero():
             self._merge(((m, c),))
 
@@ -612,7 +626,7 @@ def formal_sum_from_json(text: str, convention: str = "oriented") -> FormalSum:
     """Inverse of formal_sum_to_json.  Loops are canonicalized under the
     convention, so rotated words of one loop merge, and under "unoriented"
     (the rank-2 groups) a loop and its reversal merge too.  Malformed input
-    (text that is not JSON, no object, an order that is not an int >= 0,
+    (text that is not JSON, no object, an order that check_order refuses,
     "terms" that is not a list, a term that is not an object with a "coeff"
     list and a "monomial" list, a coefficient list without exactly order + 1
     rationals, each a "p/q" string or a non-bool int, a loop word that is

@@ -70,17 +70,18 @@ def bracket_loops(d: Diagram, x: Loop, y: Loop, group: GroupSpec, form: str = "a
         signed, halves = map(dict, _signed_units(order))
         if rank2 and form == "alt":
             prod = monomial([canonical(x.word, conv), canonical(y.word, conv)])
+    terms = []  # canonical keys and nonzero series: _merge takes them as they come
     for _, eps, gx, gy in crossings:
         rx, ry = _rotated(x, gx), _rotated(y, gy)
         joined = monomial([canonical(rx + ry, conv)])
         if rank2 and form == "reversal":
             # reverse(y) from its gap at p is the reversal of ry
-            out.add_term(joined, halves[eps])
-            out.add_term(monomial([canonical(rx + reverse_word(ry), conv)]), halves[-eps])
+            terms += (joined, halves[eps]), (monomial([canonical(rx + reverse_word(ry), conv)]), halves[-eps])
         else:
-            out.add_term(joined, signed[eps])
+            terms.append((joined, signed[eps]))
             if rank2:
-                out.add_term(prod, halves[-eps])
+                terms.append((prod, halves[-eps]))
+    out._merge(terms)
     return out
 
 

@@ -37,10 +37,12 @@ new cycle becomes its Loop with no rotation search and a monomial needs no
 sort.  A repeated arc (a loop stacked twice, a word through one arc twice)
 falls back to canonical() for each new cycle and monomial() for the state.
 
-The rank-2 two-smoothing resolution walks doubled cells, cell c + n being
-cell c walked backwards.  It starts from every crossing at its compatible
-smoothing, the oriented swap applied to both halves; the reversal
-smoothing joins head to head and tail to tail, two more swaps per crossing.
+The rank-2 two-smoothing resolution walks doubled cells, cell c - n (a
+negative index into the 2n cells) being cell c walked backwards.  It starts
+from every crossing at its compatible smoothing, the oriented swap applied
+to both halves; the reversal smoothing joins head to head and tail to tail,
+two more swaps per crossing.  One walk serves both sums: cells c and c - n
+share a seen flag, so each circle is walked once, never also backwards.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class Stacked:
             ctype = "over" if eps > 0 else "under"
             top, bottom = (c0, c1) if l0 > l1 else (c1, c0)
             self.active.append(ActiveCrossing(pid, top, bottom, ctype))
-        # entries of the doubled cells, cell c + n being cell c walked backwards
+        # entries of the doubled cells, cell c - n being cell c walked backwards
         self.entries = fwd + [(a, -dr) for a, dr in fwd]
         # the forward cells in entry_key order (stably): a walk that takes
         # its start cells in this order finds each cycle from its least cell
@@ -127,8 +129,10 @@ class Stacked:
 
     def cycles(self, succ: list[int]) -> list[list[int]]:
         """The loops of a state as lists of cells, each from its least cell
-        in entry_key order, in the order of those cells."""
-        seen = [False] * len(succ)
+        in entry_key order, in the order of those cells.  On the doubled cells
+        of a two-smoothing state, cell c - n shares cell c's seen flag, so
+        each circle comes once, never also walked backwards."""
+        seen = [False] * len(self.succ)
         out = []
         for start in self.starts:
             if seen[start]:
@@ -280,19 +284,19 @@ def _state_table(group: GroupSpec, order: int, n_over: int, n_under: int) -> tup
     return table
 
 
-def _exact_sum(st: Stacked, start, swaps, over, table, walk, unoriented: bool, order: int, cut=None) -> FormalSum:
-    """The exact state sum: each state's monomial, from the cycles walk(st,
-    succ) finds, times the table entry of its toggled over- and
-    under-crossings (i, j).  The walk carries the entry's index
-    i * (n_under + 1) + j, an over-crossing weighing n_under + 1 and an
-    under-crossing 1.  The terms go to FormalSum's merge loop as they come;
-    no entry of the table is zero (the series table refuses one, and a
-    two-smoothing entry a^i b^j has h^0 term +-1), as that loop requires."""
+def _exact_sum(st: Stacked, start, swaps, over, table, unoriented: bool, order: int, cut=None) -> FormalSum:
+    """The exact state sum: each state's monomial, from its cycles, times
+    the table entry of its toggled over- and under-crossings (i, j).  The
+    walk carries the entry's index i * (n_under + 1) + j, an over-crossing
+    weighing n_under + 1 and an under-crossing 1.  The terms go to
+    FormalSum's merge loop as they come; no entry of the table is zero (the
+    series table refuses one, and a two-smoothing entry a^i b^j has h^0
+    term +-1), as that loop requires."""
     out = FormalSum.zero(order)
     stride = len(over) - sum(over) + 1
     weights = [stride if o else 1 for o in over]
     out._merge(
-        (st.canonical_monomial(walk(st, succ), unoriented), table[i])
+        (st.canonical_monomial(st.cycles(succ), unoriented), table[i])
         for _, succ, i in _states(start, swaps, cut, weights)
     )
     return out
@@ -318,7 +322,7 @@ def expect_loops(
     over = [st.active[i].ctype == "over" for i in idxs]
     table = _state_table(group, order, sum(over), len(over) - sum(over))
     swaps = [[(st.active[i].cell_top, st.active[i].cell_bottom)] for i in idxs]
-    return _exact_sum(st, st.succ, swaps, over, table, Stacked.cycles, group.orientation_free, order, order)
+    return _exact_sum(st, st.succ, swaps, over, table, group.orientation_free, order, order)
 
 
 def expect_values(
@@ -475,24 +479,9 @@ def assoc_check(
 # the ORIGINAL stacked orientations.
 
 
-def _pairing_circles(st: Stacked, succ: list[int]) -> list[list[int]]:
-    """The circles of a two-smoothing state on the doubled cells, each once:
-    walked from its least forward cell in entry_key order, in the order of
-    those cells, the walk through the mirrored cells being the same circle
-    reversed."""
-    n = len(st.succ)
-    seen = [False] * n
-    out = []
-    for start in st.starts:
-        if seen[start]:
-            continue
-        cycle, c = [], start
-        while not seen[c % n]:
-            seen[c % n] = True
-            cycle.append(c)
-            c = succ[c]
-        out.append(cycle)
-    return out
+# the name bench/tracer.py and tests/test_bench_names.py trace the two-smoothing
+# walk under; the tracer skips aliases, so it counts both under Stacked.cycles
+_pairing_circles = Stacked.cycles
 
 
 def unoriented_kauffman_resolution(
@@ -520,16 +509,16 @@ def unoriented_kauffman_resolution(
     n = len(st.succ)
     start = st.succ + [0] * n
     for c, s in enumerate(st.succ):
-        start[n + s] = n + c
+        start[s - n] = c - n
     swaps = []
     for ac in crossings:
         c0, c1 = ac.cell_top, ac.cell_bottom
         n0, n1 = st.succ[c0], st.succ[c1]
         # compatible smoothing, forwards and backwards
-        start[c0], start[c1], start[n + n0], start[n + n1] = n1, n0, n + c1, n + c0
+        start[c0], start[c1], start[n0 - n], start[n1 - n] = n1, n0, c1 - n, c0 - n
         # reversal smoothing: head to head and tail to tail
-        swaps.append([(c0, n + n0), (c1, n + n1)])
+        swaps.append([(c0, n0 - n), (c1, n1 - n)])
     over = [ac.ctype == "over" for ac in crossings]
     a, b = kauffman_coeffs(order)
     table = _count_table((a, b), (b, a), sum(over), len(over) - sum(over), order, None)
-    return _exact_sum(st, start, swaps, over, table, _pairing_circles, True, order)
+    return _exact_sum(st, start, swaps, over, table, True, order)

@@ -3,12 +3,13 @@
 import argparse
 import json
 import pathlib
+import time
 
 import numpy as np
 import pytest
 
 from loopstar.cli import build_parser, main
-from loopstar.coeff import DEFAULT_ORDER, GROUP_KINDS, GroupSpec
+from loopstar.coeff import DEFAULT_ORDER, GROUP_KINDS, MAX_ORDER, GroupSpec
 from loopstar.diagram import FormalSum, formal_sum_from_json, monomial, parse_diagram
 from loopstar.goldman import FORMS, bracket_poly
 from loopstar.holonomy import eval_formal, random_assignment
@@ -241,6 +242,26 @@ def test_an_overflowing_evaluation_is_a_domain_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "overflows" in err
+
+
+@pytest.mark.parametrize("order", [str(MAX_ORDER + 1), "100000000000000000000"])
+@pytest.mark.parametrize("verb", [
+    ["coeffs", "--group", "gln", "--n", "3"],
+    ["star", str(DIAGRAMS / "one_crossing.ls")],
+    ["expect", str(DIAGRAMS / "one_crossing.ls")],
+    ["bracket", str(DIAGRAMS / "one_crossing.ls")],
+], ids=lambda v: v[0])
+def test_an_order_past_the_cap_is_a_domain_error(capsys, verb, order):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *verb, "--order", order)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == f"error: order must be an int >= 0 and <= {MAX_ORDER}, got {order}\n"
+
+
+def test_coeffs_at_the_order_cap(capsys):
+    code, out, _ = run(capsys, "coeffs", "--type", "over", "--order", str(MAX_ORDER))
+    assert code == 0 and len(json.loads(out)["tables"]["over"]["virtual"]) == MAX_ORDER + 1
 
 
 def test_a_holonomy_error_under_eval_beta_is_a_domain_error(capsys, monkeypatch):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from loopstar.coeff import (
+    MAX_ORDER,
     CoeffError,
     GroupSpec,
     SeriesCoeff,
@@ -476,15 +477,17 @@ ORDER_TAKERS = {
     "exp_generator": lambda order: exp_generator(GroupSpec("su2"), "over", order),
     "kauffman_coeffs": kauffman_coeffs,
     "expect_loops": _expect_loops_at,
+    "FormalSum": lambda order: FormalSum(order=order),
+    "FormalSum.of": lambda order: FormalSum.of((), order),
 }
 
 
-@pytest.mark.parametrize("order", [2.5, True, -1, "4"], ids=repr)
+@pytest.mark.parametrize("order", [2.5, True, -1, "4", MAX_ORDER + 1, 10**20], ids=repr)
 @pytest.mark.parametrize("taker", sorted(ORDER_TAKERS))
 def test_one_order_rule_for_every_series_builder(taker, order):
-    """Every builder of a series refuses an order that is not an int >= 0
-    with the same CoeffError, a bool and a float included."""
-    with pytest.raises(CoeffError, match=rf"^order must be an int >= 0, got {re.escape(repr(order))}$"):
+    """Every builder of a series refuses an order that is not an int from
+    0 to MAX_ORDER with the same CoeffError, a bool and a float included."""
+    with pytest.raises(CoeffError, match=rf"^order must be an int >= 0 and <= {MAX_ORDER}, got {re.escape(repr(order))}$"):
         ORDER_TAKERS[taker](order)
 
 

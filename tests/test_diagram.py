@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from loopstar.coeff import CoeffError, GroupSpec, SeriesCoeff
+from loopstar.coeff import MAX_ORDER, CoeffError, GroupSpec, SeriesCoeff
 from loopstar.diagram import (
     Arc,
     CrossingPoint,
@@ -525,7 +525,45 @@ def test_a_term_that_cancels_is_dropped_and_comes_back_last():
     out.add_scaled(FormalSum({c: 1}, 4), -1)
     out.add_scaled(FormalSum({c: 1}, 4), 1)
     assert list(out.terms) == [dd, c]
-    assert list(FormalSum({(c[0], dd[0]): 1, (dd[0], c[0]): -1}, 4).mul_monomial(c).terms) == []
+    # keys in two orders reach a sum only through the private merge now
+    two_orders = FormalSum(order=4)
+    two_orders._merge([((c[0], dd[0]), SeriesCoeff.one(4)), ((dd[0], c[0]), -SeriesCoeff.one(4))])
+    assert list(two_orders.mul_monomial(c).terms) == []
+
+
+def non_canonical_keys():
+    """Keys that monomial() of canonical loops never gives: two loops out
+    of monomial order, a loop that is not its own least rotation, and keys
+    that are no tuple of Loops."""
+    d = parse_diagram(ONE_CROSSING)
+    c, dd = d.loop_of("C"), d.loop_of("D")
+    rotated = Loop(((Arc("C", 1), 1), (Arc("C", 0), 1)))
+    return {"unsorted": (dd, c), "rotated": (rotated,), "word": (c.word,), "str": "C.0"}
+
+
+@pytest.mark.parametrize("key", sorted(non_canonical_keys()))
+def test_a_sum_takes_only_canonical_keys(key):
+    m = non_canonical_keys()[key]
+    pattern = "^a sum's key must be a canonical monomial, got "
+    for build in (lambda: FormalSum({m: 1}, 2), lambda: FormalSum.of(m, 2), lambda: FormalSum(order=2).add_term(m, 1)):
+        with pytest.raises(DiagramError, match=pattern):
+            build()
+    fs = FormalSum.of((), 2)
+    with pytest.raises(DiagramError, match=pattern):
+        fs.add_term(m, 1)
+    assert list(fs.terms) == [()]
+
+
+def test_one_monomial_in_two_orders_is_one_key():
+    """FormalSum.of((D, C)) + FormalSum.of((C, D)) made a sum of two terms
+    that stand for one monomial; through monomial() the two are one key.
+    A loop and its reversal stay two keys, each canonical."""
+    d = parse_diagram(ONE_CROSSING)
+    c, dd = d.loop_of("C"), d.loop_of("D")
+    assert len(FormalSum.of(monomial([dd, c]), 2) + FormalSum.of(monomial([c, dd]), 2)) == 1
+    back = Loop(reverse_word(c.word))
+    assert back == canonical(back.word) != c
+    assert len(FormalSum({(c,): 1, (back,): 1}, 2)) == 2
 
 
 @pytest.mark.parametrize("other", [1, 0, Fraction(1, 2), 1.0, None, SeriesCoeff.one(4)], ids=repr)
@@ -609,10 +647,13 @@ def test_a_sum_copies_and_pickles_with_its_terms_in_order(how):
 
 def test_mul_monomial_adds_the_terms_it_makes_one():
     """Two keys that hold one monomial in two orders become one key times
-    the extra loop, whose coefficient is their sum."""
+    the extra loop, whose coefficient is their sum.  The constructor refuses
+    the unsorted key, so the private merge puts it in."""
     d = parse_diagram(ONE_CROSSING)
     a, b, e = d.loop_of("C"), d.loop_of("D"), Loop(((Arc("C", 0), -1),))
-    out = FormalSum({(b, a): 1, (a, b): 2}, 2).mul_monomial((e,))
+    fs = FormalSum(order=2)
+    fs._merge([((b, a), SeriesCoeff.one(2)), ((a, b), SeriesCoeff.constant(2, 2))])
+    out = fs.mul_monomial((e,))
     assert out.terms == {monomial([a, b, e]): SeriesCoeff.constant(3, 2)}
 
 
@@ -739,6 +780,12 @@ def test_formal_sum_from_json_rejects_a_bool_order():
 def test_formal_sum_from_json_rejects_a_negative_order():
     with pytest.raises(DiagramError, match="order"):
         formal_sum_from_json(json.dumps({"order": -1, "terms": []}))
+
+
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, 10**20])
+def test_formal_sum_from_json_rejects_an_order_past_the_cap(order):
+    with pytest.raises(DiagramError, match=rf"^order must be an int >= 0 and <= {MAX_ORDER}, got {order}$"):
+        formal_sum_from_json(json.dumps({"order": order, "terms": []}))
 
 
 def test_formal_sum_from_json_rejects_a_missing_order():

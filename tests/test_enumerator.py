@@ -142,20 +142,20 @@ def test_canonical_monomial_memo_matches_fresh_canonical_forms(stack, group, rev
 
 def pairing_circles_of(d, leveled):
     """The Stacked and the pairing circles of every state of the rank-2
-    two-smoothing resolution of leveled, as its walk produces them."""
+    two-smoothing resolution of leveled, as Stacked.cycles walks them."""
     recorded = []
-    walk = star_module._pairing_circles
+    walk = Stacked.cycles
 
     def recording(st_, succ):
         circles = walk(st_, succ)
         recorded.append((st_, circles))
         return circles
 
-    star_module._pairing_circles = recording
+    Stacked.cycles = recording
     try:
         unoriented_kauffman_resolution(d, leveled, GroupSpec("su2"), 0)
     finally:
-        star_module._pairing_circles = walk
+        Stacked.cycles = walk
     return recorded
 
 
@@ -163,9 +163,9 @@ def pairing_circles_of(d, leveled):
 @given(stacks(), st.lists(st.booleans(), min_size=4, max_size=4))
 def test_mirrored_cells_give_the_unoriented_canonical_form(stack, reversed_):
     """canonical_monomial(cycles, True) walks each cycle backwards through
-    the mirrored cells, c + n mod 2n.  On the cycles of every oriented state
-    (cells below n) and on the pairing circles of every two-smoothing state
-    (cells up to 2n) it must equal the unoriented canonical forms of the
+    the mirrored cells c - n.  On the cycles of every oriented state (cells
+    0 to n - 1) and on the pairing circles of every two-smoothing state
+    (cells -n to n - 1) it must equal the unoriented canonical forms of the
     cells' entries."""
     d, leveled, _ = stack
     leveled = [(Loop(reverse_word(l.word)) if r else l, level) for (l, level), r in zip(leveled, reversed_)]
@@ -173,13 +173,63 @@ def test_mirrored_cells_give_the_unoriented_canonical_form(stack, reversed_):
     swaps = [[(a.cell_top, a.cell_bottom)] for a in st_.active]
     states = [(st_, st_.cycles(succ)) for _, succ, _ in _states(st_.succ, swaps)]
     circles = pairing_circles_of(d, leveled)
-    n = len(st_.succ)
     # a reversal smoothing walks into the mirrored cells
-    assert any(c >= n for _, cycles in circles for cycle in cycles for c in cycle) == bool(st_.active)
+    assert any(c < 0 for _, cycles in circles for cycle in cycles for c in cycle) == bool(st_.active)
     for owner, cycles in states + circles:
         got = owner.canonical_monomial(cycles, True)
         want = monomial(canonical([owner.entries[c] for c in cycle], "unoriented") for cycle in cycles)
         assert got == want
+
+
+def modular_pairing_circles(st_, succ):
+    """A reference walk on doubled cells encoded as c + n, the mirror of
+    cell c: a cell and its mirror share one seen flag, at c % n."""
+    n = len(st_.succ)
+    seen = [False] * n
+    out = []
+    for start in st_.starts:
+        if seen[start]:
+            continue
+        cycle, c = [], start
+        while not seen[c % n]:
+            seen[c % n] = True
+            cycle.append(c)
+            c = succ[c]
+        out.append(cycle)
+    return out
+
+
+def modular_resolution_cells(st_):
+    """The two-smoothing resolution's start array and swaps with each
+    mirrored cell encoded as c + n."""
+    n = len(st_.succ)
+    start = st_.succ + [0] * n
+    for c, s in enumerate(st_.succ):
+        start[n + s] = n + c
+    swaps = []
+    for ac in st_.active[::-1]:
+        c0, c1 = ac.cell_top, ac.cell_bottom
+        n0, n1 = st_.succ[c0], st_.succ[c1]
+        start[c0], start[c1], start[n + n0], start[n + n1] = n1, n0, n + c1, n + c0
+        swaps.append([(c0, n + n0), (c1, n + n1)])
+    return start, swaps
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacks(), st.lists(st.booleans(), min_size=4, max_size=4))
+def test_one_walk_matches_the_modular_walk_on_doubled_cells(stack, reversed_):
+    """Stacked.cycles on the c - n encoding must give, state for state, the
+    circles of the % n walk on the c + n encoding, in the same order, once
+    each cell x < 0 is read as x + 2n."""
+    d, leveled, _ = stack
+    leveled = [(Loop(reverse_word(l.word)) if r else l, level) for (l, level), r in zip(leveled, reversed_)]
+    st_ = Stacked(d, leveled)
+    assume(len({a.point for a in st_.active}) == len(st_.active))
+    n = len(st_.succ)
+    start, swaps = modular_resolution_cells(st_)
+    want = [modular_pairing_circles(st_, succ) for _, succ, _ in _states(start, swaps)]
+    got = [[[x + 2 * n if x < 0 else x for x in c] for c in circles] for _, circles in pairing_circles_of(d, leveled)]
+    assert got == want
 
 
 def two_curves(signs: str):
@@ -300,14 +350,14 @@ def test_states_carry_the_weighted_index(case):
     assert {index for _, _, index in _states(range(2 * k), swaps, budget)} == {0}
 
 
-def fold_with_add_term(st_, start, swaps, over, table, walk, unoriented, order, cut=None):
+def fold_with_add_term(st_, start, swaps, over, table, unoriented, order, cut=None):
     """_exact_sum's reference: the same states folded through
     FormalSum.add_term, each state's (i, j) recounted from its flags."""
     out = FormalSum.zero(order)
     stride = len(over) - sum(over) + 1
     for toggled, succ, _ in _states(start, swaps, cut):
         i = sum(t for t, o in zip(toggled, over) if o)
-        out.add_term(st_.canonical_monomial(walk(st_, succ), unoriented), table[i * stride + sum(toggled) - i])
+        out.add_term(st_.canonical_monomial(st_.cycles(succ), unoriented), table[i * stride + sum(toggled) - i])
     return out
 
 
@@ -320,8 +370,8 @@ def test_one_probe_merge_matches_add_term(seed, monkeypatch):
     exact = star_module._exact_sum
     merged = []
 
-    def checked(st_, start, swaps, over, table, walk, unoriented, order, cut=None):
-        args = st_, start, swaps, over, table, walk, unoriented, order, cut
+    def checked(st_, start, swaps, over, table, unoriented, order, cut=None):
+        args = st_, start, swaps, over, table, unoriented, order, cut
         got = exact(*args)
         want = fold_with_add_term(*args)
         assert list(got.terms.items()) == list(want.terms.items())
@@ -343,12 +393,16 @@ def test_one_probe_merge_matches_add_term(seed, monkeypatch):
 
 
 class Cells:
-    """Stands in for a Stacked in _exact_sum: the walk hands over each
-    state's successor array, and monos maps it to the state's monomial (any
-    hashable key does for a dict)."""
+    """Stands in for a Stacked in _exact_sum: its cycles are each state's
+    successor array, and monos maps them to the state's monomial (any
+    hashable key does for a dict, but add_term takes only a canonical
+    monomial)."""
 
     def __init__(self, monos):
         self.monos = monos
+
+    def cycles(self, succ):
+        return tuple(succ)
 
     def canonical_monomial(self, cycles, unoriented):
         return self.monos[cycles]
@@ -359,15 +413,15 @@ def test_a_merge_to_zero_deletes_the_term_and_a_later_state_reinserts_it():
     table[0], table[1], table[1], table[2].  M's first two terms cancel, so
     M leaves the sum; 11 brings it back after N."""
     one = SeriesCoeff.one(0)
-    states = {(0, 1, 2, 3): "M", (0, 1, 3, 2): "M", (1, 0, 2, 3): "N", (1, 0, 3, 2): "M"}
-    args = (Cells(states), [0, 1, 2, 3], [[(0, 1)], [(2, 3)]], [False, False], (one, -one, one),
-            lambda cells, succ: tuple(succ), False, 0)
+    M, N = (monomial([Loop(((Arc(c, 0), 1),))]) for c in "MN")
+    states = {(0, 1, 2, 3): M, (0, 1, 3, 2): M, (1, 0, 2, 3): N, (1, 0, 3, 2): M}
+    args = (Cells(states), [0, 1, 2, 3], [[(0, 1)], [(2, 3)]], [False, False], (one, -one, one), False, 0)
     got = star_module._exact_sum(*args)
-    assert list(got.terms.items()) == [("N", -one), ("M", one)]
+    assert list(got.terms.items()) == [(N, -one), (M, one)]
     assert list(got.terms.items()) == list(fold_with_add_term(*args).terms.items())
     # one table object under M already: the sum adds it, it does not replace it
-    args = (Cells(dict.fromkeys(states, "M")), *args[1:4], (one,) * 3, *args[5:])
-    assert list(star_module._exact_sum(*args).terms.items()) == [("M", 4 * one)]
+    args = (Cells(dict.fromkeys(states, M)), *args[1:4], (one,) * 3, *args[5:])
+    assert list(star_module._exact_sum(*args).terms.items()) == [(M, 4 * one)]
 
 
 def test_a_zero_state_coefficient_within_the_cut_is_an_error(monkeypatch):

@@ -13,7 +13,6 @@ table.  To re-record after an intended change:
 """
 
 import hashlib
-import importlib
 import pathlib
 import random
 
@@ -26,8 +25,6 @@ from loopstar.checks import random_diagram
 from loopstar.coeff import GroupSpec, SeriesCoeff, crossing_coeffs
 from loopstar.diagram import canonical, monomial, parse_diagram
 from loopstar.star import Stacked, unoriented_kauffman_resolution
-
-star_module = importlib.import_module("loopstar.star")  # the package exports star()
 
 DIAGRAMS = pathlib.Path(__file__).resolve().parent.parent / "diagrams"
 RANK2 = (GroupSpec("su2"), GroupSpec("sl2r"), GroupSpec("sl2c"))
@@ -232,7 +229,7 @@ def test_every_state_is_walked_once(monkeypatch):
     passes = " ".join(f"x{i}" for i in range(k))
     d = parse_diagram(points + f"curve C level 1: {passes}\ncurve D level 0: {passes}\n")
     calls = []
-    circles = star_module._pairing_circles
-    monkeypatch.setattr(star_module, "_pairing_circles", lambda *a: calls.append(1) or circles(*a))
+    circles = Stacked.cycles
+    monkeypatch.setattr(Stacked, "cycles", lambda *a: calls.append(1) or circles(*a))
     unoriented_kauffman_resolution(d, declared_levels(d), GroupSpec("su2"), 4)
     assert len(calls) == 2**k

@@ -499,12 +499,12 @@ def test_entry_end_pins_its_answer(entry, answer):
 
 
 def test_a_word_that_is_no_closed_walk_is_refused_everywhere():
-    """E.0 C.0 C.1 runs the free arc of E, then C: every entry is an arc of
+    """C.0 C.1 E.0 runs C, then the free arc of E: every entry is an arc of
     the diagram, but C.0 does not leave where E.0 arrives, so it is no
     Wilson loop and every state sum and bracket refuses it."""
     d = parse_diagram(PASSES)
     su2, gl2 = GroupSpec("su2"), GroupSpec("gln", 2)
-    x, y = Loop(((Arc("E", 0), 1), (Arc("C", 0), 1), (Arc("C", 1), 1))), d.loop_of("D")
+    x, y = Loop(((Arc("C", 0), 1), (Arc("C", 1), 1), (Arc("E", 0), 1))), d.loop_of("D")
     f, g = FormalSum.of((x,), K), FormalSum.of((y,), K)
     fc, gc = {(x,): 1 + 0j}, {(y,): 1 + 0j}
     calls = [
